@@ -42,7 +42,7 @@ norm = Normalizer(mean=np.zeros(cfg.freq_bins, np.float32),
                   std=np.ones(cfg.freq_bins, np.float32))
 
 x = np.ascontiguousarray(frames.T[None, None])
-batch = model.forward(x, method="column")[0, 0].T
+batch = model.forward(x)[0, 0].T
 
 stream = StreamingModel(model)
 out_count_after = []

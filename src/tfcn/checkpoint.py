@@ -6,7 +6,8 @@ carries the model config, init seed, format version and a manifest of
 (name, shape, offset, kind) entries; kinds are "param" (learnable), "buffer"
 (BN running statistics) and "opt" (Adam moments, present only in resumable
 training checkpoints). Loading validates that the param entries sum exactly
-to the architecture's analytic parameter count.
+to the architecture's analytic parameter count. A save replaces the file
+whole, so an interrupted one leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .dsp import Normalizer
+from .fileio import replace_file
 from .model import Model, build_model, param_count
 
 MAGIC = b"TFCNCKP1"
@@ -71,7 +73,7 @@ def save_checkpoint(path, model: Model, normalizer: Normalizer | None = None,
         "training_state": training_state,
     }
     head = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with replace_file(path) as fh:
         fh.write(MAGIC)
         fh.write(np.array(len(head), dtype="<u4").tobytes())
         fh.write(head)

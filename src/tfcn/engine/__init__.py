@@ -1,7 +1,6 @@
 """Dense rank-4 tensor primitives with hand-written backward passes."""
 
 from .conv import (
-    DEFAULT_METHOD,
     Conv2dContext,
     ConvSpec,
     ShapeError,
@@ -24,7 +23,6 @@ __all__ = [
     "Conv2d",
     "Conv2dContext",
     "ConvSpec",
-    "DEFAULT_METHOD",
     "Parameter",
     "PReLU",
     "ShapeError",

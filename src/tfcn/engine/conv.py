@@ -1,27 +1,20 @@
 """Grouped dilated 2-D convolution with hand-written forward and backward.
 
-Arrays are float32 in (batch, channel, freq, time) layout. Three execution
-paths produce the same result (within 1e-5):
-
-* ``direct``  - loop over output coordinates, numpy-summed taps. Slow,
-  shape-agnostic; kept as an in-engine cross-check.
-* ``im2col``  - tensordot per channel group (tensordot performs the im2col
-  copy and a BLAS matmul internally). Default; used for training.
-* ``column``  - one einsum per output time column. Slowest of the vectorized
-  paths but bitwise-reproducible per column regardless of how many columns
-  surround it, which is what the streaming enhancer needs.
+Arrays are float32 in (batch, channel, freq, time) layout. One forward
+kernel serves training, validation, batch enhancement and streaming, and a
+streamed frame is bitwise equal to its batch counterpart (see
+``conv2d_forward``). ``tests/oracles.py`` is its independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-DEFAULT_METHOD = "im2col"
-
-_METHODS = ("direct", "im2col", "column")
+# bytes of one block copied by channel_major: small enough for a typical L2 cache
+_BLOCK_BYTES = 1 << 21
 
 
 class ShapeError(ValueError):
@@ -94,7 +87,6 @@ class Conv2dContext:
     x: np.ndarray
     weight: np.ndarray
     out_shape: tuple[int, int, int, int]
-    method: str = DEFAULT_METHOD
 
 
 def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
@@ -119,104 +111,81 @@ def _windows(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
     return win[..., ::spec.dilation[0], ::spec.dilation[1]]
 
 
-def conv2d_forward(x, weight, spec: ConvSpec, bias=None, method=None):
+def _tap_range(i: int, d: int, pad_left: int, n_in: int, n_out: int):
+    """Output slice a tap reads inside the input over, and its input slice."""
+    shift = i * d - pad_left
+    lo, hi = max(0, -shift), min(n_out, n_in - shift)
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def conv2d_forward(x, weight, spec: ConvSpec, bias=None):
     """Run the convolution; returns (output, context).
 
     ``x`` is (B, C_in, F, T) float32; ``weight`` is
     (C_out, C_in/groups, k_f, k_t). The context feeds conv2d_backward.
+
+    Computed frame-major: the taps (i, j) are added in a fixed order, each
+    over the output rectangle where it reads inside the input (padding is
+    never materialized). With one input channel per group a tap is an
+    elementwise multiply-add; otherwise it is one ``np.matmul`` per group
+    over the (B, T, C/g, F) frames, a GEMM per frame whose shape does not
+    depend on how many frames are computed together. Every output frame
+    therefore equals, bitwise, a call on that frame's window alone, which is
+    what lets streaming match the batch forward.
+
+    The output is a (B, C_out, F_out, T_out) view of frame-major memory, so a
+    following convolution reads its frames without a copy.
     """
-    method = method or DEFAULT_METHOD
-    if method not in _METHODS:
-        raise ValueError(f"unknown conv method {method!r}")
     _check_input(x, spec)
     if tuple(weight.shape) != spec.weight_shape:
         raise ShapeError(f"weight shape {weight.shape} != expected {spec.weight_shape}")
     if spec.has_bias and bias is None:
         raise ShapeError("spec.has_bias is set but no bias given")
-    f_out, t_out = spec.out_size(x.shape[2], x.shape[3])
-    xp = _pad(x, spec)
-    if method == "direct":
-        y = _forward_direct(xp, weight, spec, f_out, t_out)
-    elif method == "column":
-        y = _forward_columns(xp, weight, spec, f_out, t_out)
-    else:
-        y = _forward_im2col(xp, weight, spec, f_out, t_out)
+    b_sz, _, n_f, n_t = x.shape
+    f_out, t_out = spec.out_size(n_f, n_t)
+    groups = spec.groups
+    c_per_g = spec.in_channels // groups
+    out_per_g = spec.out_channels // groups
+    lf, _, lt, _ = spec.pad
+    xt = np.ascontiguousarray(x.transpose(0, 3, 1, 2), dtype=np.float32)
+    yt = np.zeros((b_sz, t_out, spec.out_channels, f_out), dtype=np.float32)
+    # (k_f, k_t, C_out, C_in/g): each tap's matrix has unit stride, as BLAS needs
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=np.float32)
+    if c_per_g == 1:
+        xg = xt.reshape(b_sz, n_t, groups, 1, n_f)
+        yg = yt.reshape(b_sz, t_out, groups, out_per_g, f_out)
+        taps = taps.reshape(*spec.kernel, groups, out_per_g, 1)
+    for i in range(spec.kernel[0]):
+        fo, fi = _tap_range(i, spec.dilation[0], lf, n_f, f_out)
+        for j in range(spec.kernel[1]):
+            to, ti = _tap_range(j, spec.dilation[1], lt, n_t, t_out)
+            if fo.start >= fo.stop or to.start >= to.stop:
+                continue            # the tap reads only padding
+            if c_per_g == 1:
+                yg[:, to, :, :, fo] += taps[i, j] * xg[:, ti, :, :, fi]
+            else:
+                for g in range(groups):
+                    osl = slice(g * out_per_g, (g + 1) * out_per_g)
+                    csl = slice(g * c_per_g, (g + 1) * c_per_g)
+                    yt[:, to, osl, fo] += np.matmul(taps[i, j, osl], xt[:, ti, csl, fi])
     if spec.has_bias:
-        y += bias[None, :, None, None]
-    ctx = Conv2dContext(spec=spec, x=x, weight=weight, out_shape=y.shape, method=method)
-    return y, ctx
+        yt += bias[None, None, :, None]
+    y = yt.transpose(0, 2, 3, 1)
+    return y, Conv2dContext(spec=spec, x=x, weight=weight, out_shape=y.shape)
 
 
-def _forward_direct(xp, weight, spec, f_out, t_out):
-    b_sz = xp.shape[0]
-    d_f, d_t = spec.dilation
-    span_f, span_t = spec.span()
-    c_per_g = spec.in_channels // spec.groups
-    out_per_g = spec.out_channels // spec.groups
-    y = np.empty((b_sz, spec.out_channels, f_out, t_out), dtype=np.float32)
-    for b in range(b_sz):
-        for oc in range(spec.out_channels):
-            g = oc // out_per_g
-            ch = slice(g * c_per_g, (g + 1) * c_per_g)
-            w_oc = weight[oc]
-            for f in range(f_out):
-                for t in range(t_out):
-                    patch = xp[b, ch, f:f + span_f:d_f, t:t + span_t:d_t]
-                    y[b, oc, f, t] = np.float32((patch * w_oc).sum(dtype=np.float32))
-    return y
+def channel_major(y: np.ndarray) -> np.ndarray:
+    """C-ordered copy of a (B, C, F, T) array, e.g. a conv2d_forward output.
 
-
-def _forward_im2col(xp, weight, spec, f_out, t_out):
-    b_sz = xp.shape[0]
-    k_f, k_t = spec.kernel
-    d_f, d_t = spec.dilation
-    if spec.is_depthwise:
-        # Tap accumulation: 9-ish broadcast FMAs beat materializing columns.
-        y = np.zeros((b_sz, spec.out_channels, f_out, t_out), dtype=np.float32)
-        tmp = np.empty_like(y)
-        for i in range(k_f):
-            for j in range(k_t):
-                tap = weight[:, 0, i, j][None, :, None, None]
-                np.multiply(xp[:, :, i * d_f:i * d_f + f_out, j * d_t:j * d_t + t_out],
-                            tap, out=tmp)
-                y += tmp
-        return y
-    win = _windows(xp, spec)
-    c_per_g = spec.in_channels // spec.groups
-    out_per_g = spec.out_channels // spec.groups
-    y = np.empty((b_sz, spec.out_channels, f_out, t_out), dtype=np.float32)
-    for g in range(spec.groups):
-        win_g = win[:, g * c_per_g:(g + 1) * c_per_g]
-        w_g = weight[g * out_per_g:(g + 1) * out_per_g]
-        # (B, F, T, O) <- contract (c, k_f, k_t)
-        out_g = np.tensordot(win_g, w_g, axes=([1, 4, 5], [1, 2, 3]))
-        y[:, g * out_per_g:(g + 1) * out_per_g] = np.moveaxis(out_g, 3, 1)
-    return y
-
-
-def _column_einsum(win_t, w_g):
-    """Shared per-column contraction; the streaming path calls this too.
-
-    win_t: (B, groups, C/g, F_out, k_f, k_t), w_g: (groups, O/g, C/g, k_f, k_t).
-    einsum with optimize=False keeps a fixed accumulation order so the result
-    for a column does not depend on its neighbours.
+    A frame-major source is copied a block of frames at a time: each block
+    stays in cache, where numpy's one-pass transposing copy runs several
+    times slower.
     """
-    win_t = np.ascontiguousarray(win_t, dtype=np.float32)
-    return np.einsum("bgcfij,gocij->bgof", win_t, w_g, optimize=False)
-
-
-def _forward_columns(xp, weight, spec, f_out, t_out):
-    b_sz = xp.shape[0]
-    c_per_g = spec.in_channels // spec.groups
-    out_per_g = spec.out_channels // spec.groups
-    win = _windows(xp, spec)
-    win = win.reshape(b_sz, spec.groups, c_per_g, f_out, t_out, *spec.kernel)
-    w_g = np.ascontiguousarray(weight.reshape(spec.groups, out_per_g, c_per_g, *spec.kernel))
-    y = np.empty((b_sz, spec.out_channels, f_out, t_out), dtype=np.float32)
-    for t in range(t_out):
-        col = _column_einsum(win[:, :, :, :, t], w_g)
-        y[:, :, :, t] = col.reshape(b_sz, spec.out_channels, f_out)
-    return y
+    out = np.empty(y.shape, dtype=y.dtype)
+    step = max(1, _BLOCK_BYTES // (y[..., :1].nbytes or 1))
+    for t in range(0, y.shape[3], step):
+        out[..., t:t + step] = y[..., t:t + step]
+    return out
 
 
 def conv2d_backward(grad_out, ctx: Conv2dContext):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import ConvSpec, ShapeError, conv2d_backward, conv2d_forward
+from .conv import ConvSpec, ShapeError, channel_major, conv2d_backward, conv2d_forward
 
 
 class Parameter:
@@ -63,11 +63,13 @@ class Conv2d:
     def parameters(self):
         return [self.weight] + ([self.bias] if self.bias is not None else [])
 
-    def forward(self, x: np.ndarray, method: str | None = None,
-                record: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
         y, ctx = conv2d_forward(x, self.weight.data, self.spec,
-                                bias=None if self.bias is None else self.bias.data,
-                                method=method)
+                                bias=None if self.bias is None else self.bias.data)
+        if record:
+            # the backward passes are written for (B, C, F, T)-ordered memory;
+            # frame-major activations would make every one of them strided
+            y = channel_major(y)
         self._ctx = ctx if record else None
         return y
 

@@ -2,8 +2,10 @@
 
 Pipeline: STFT -> LPS -> per-bin normalize -> network -> denormalize ->
 magnitudes under the noisy phase (dropped bin restored as zero) -> ISTFT.
-Both batch and streaming modes execute convolutions with the per-column
-method, so a causal model produces bitwise-identical results either way.
+Batch and streaming modes run every convolution through the one
+``conv2d_forward`` kernel, whose output frames do not depend on how many
+frames are computed together, so a causal or semi-causal model produces
+bitwise-identical results either way.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def enhance_lps(model: Model, norm: Normalizer, noisy_lps: np.ndarray) -> np.nda
     """Batch LPS mapping: (T, F) noisy log power in, estimate out."""
     x = norm.normalize(noisy_lps)
     x = np.ascontiguousarray(x.T[None, None])           # (1, 1, F, T)
-    y = model.forward(x, training=False, method="column")
+    y = model.forward(x, training=False)
     return norm.denormalize(y[0, 0].T)
 
 

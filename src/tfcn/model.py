@@ -55,14 +55,14 @@ class DilatedBlock:
     def parameters(self):
         return [p for layer in self.layers() for p in layer.parameters()]
 
-    def forward(self, x_in, primary, training=False, method=None, record=False):
-        h = self.conv0.forward(x_in, method, record)
+    def forward(self, x_in, primary, training=False, record=False):
+        h = self.conv0.forward(x_in, record)
         h = self.act0.forward(h, training, record)
         h = self.bn0.forward(h, training, record)
-        h = self.conv1.forward(h, method, record)
+        h = self.conv1.forward(h, record)
         h = self.act1.forward(h, training, record)
         h = self.bn1.forward(h, training, record)
-        h = self.conv2.forward(h, method, record)
+        h = self.conv2.forward(h, record)
         return add_residual(h, primary)
 
     def backward(self, grad_out):
@@ -168,8 +168,8 @@ class Model:
             return np.ascontiguousarray(np.swapaxes(y, 1, 2))
         return y
 
-    def forward(self, x, training: bool = False, method: str | None = None,
-                trace: dict | None = None, overrides: dict | None = None):
+    def forward(self, x, training: bool = False, trace: dict | None = None,
+                overrides: dict | None = None):
         """Map a normalized (B, 1, F, T) batch to the same shape.
 
         ``trace``/``overrides`` observe or replace named intermediate
@@ -191,7 +191,7 @@ class Model:
 
         h = self._to_net_layout(x)
         h = self.input_bn.forward(h, training, record)
-        h = self.input_conv.forward(h, method, record)
+        h = self.input_conv.forward(h, record)
         h = tap("input", h)
 
         wiring = [] if record else None
@@ -211,7 +211,7 @@ class Model:
                     src_ids = [primary_id]
                 x_in = concat_channels([feat_arrays[i] for i in src_ids])
                 x_in = tap(f"rb{r}.db{n}.in", x_in)
-                out = self.blocks[r][n].forward(x_in, primary, training, method, record)
+                out = self.blocks[r][n].forward(x_in, primary, training, record)
                 out = tap(f"rb{r}.db{n}.out", out)
                 out_id = next_id
                 next_id += 1
@@ -228,7 +228,7 @@ class Model:
         if wiring is not None:
             self._wiring = (wiring, primary_id)
 
-        y = self.output_conv.forward(primary, method, record)
+        y = self.output_conv.forward(primary, record)
         y = self.output_act.forward(y, training, record)
         y = tap("output", y)
         return self._from_net_layout(y)
@@ -302,8 +302,7 @@ def param_count(cfg: ModelConfig) -> int:
 
 
 def probe_causality(model: Model, frames: int, trials: int = 4,
-                    look_ahead: int | None = None, seed: int = 0,
-                    method: str | None = None) -> float:
+                    look_ahead: int | None = None, seed: int = 0) -> float:
     """Perturb frames beyond t + L and measure the largest change in outputs
     at frames <= t. Zero (within 1e-6) certifies the causal contract; a
     non-causal model serves as the probe's positive control.
@@ -313,7 +312,7 @@ def probe_causality(model: Model, frames: int, trials: int = 4,
         raise ValueError(f"need at least {lead + 2} frames to probe look-ahead {lead}")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(1, 1, model.config.freq_bins, frames)).astype(np.float32)
-    base = model.forward(x, training=False, method=method)
+    base = model.forward(x, training=False)
     worst = 0.0
     for _ in range(trials):
         t = int(rng.integers(0, frames - lead - 1))
@@ -321,6 +320,6 @@ def probe_causality(model: Model, frames: int, trials: int = 4,
         tail = x2[:, :, :, t + lead + 1:]
         x2[:, :, :, t + lead + 1:] = tail + rng.uniform(0.5, 1.5, size=tail.shape).astype(
             np.float32)
-        out = model.forward(x2, training=False, method=method)
+        out = model.forward(x2, training=False)
         worst = max(worst, float(np.abs(out[..., :t + 1] - base[..., :t + 1]).max()))
     return worst

@@ -1,12 +1,13 @@
 """Frame-by-frame network execution for causal and semi-causal models.
 
-Each convolution becomes a small state machine holding exactly the dilated
-time span it needs; left padding is pre-buffered zeros, right padding arrives
-at flush. Dense concatenations and residual adds synchronize through FIFOs,
-so a column leaves a stage only when every contributing path has caught up.
-Conv columns are computed by the same per-column einsum as the batch
-"column" execution path, which makes streaming output bitwise-equal to a
-batch forward pass.
+Each convolution becomes a small state machine holding at most the dilated
+time span it needs; its time padding is never materialized. Dense
+concatenations and residual adds synchronize through FIFOs, so a column
+leaves a stage only when every contributing path has caught up. Each conv
+column is one ``conv2d_forward`` call on its window: the kernel the batch
+forward runs, whose output frames do not depend on how many frames are
+computed together, so streaming output is bitwise-equal to a batch forward
+pass.
 """
 
 from __future__ import annotations
@@ -22,49 +23,38 @@ from .model import Model
 
 
 class _ConvStream:
-    """Sliding dilated window over incoming time columns of one conv layer."""
+    """The latest input columns of one conv layer, a dilated time span at most.
+
+    Columns before the first input, and after the last at flush, are the
+    layer's own time padding: the kernel skips the taps that would read them,
+    as it does in a batch forward.
+    """
 
     def __init__(self, layer):
         self.layer = layer
-        spec = layer.spec
-        k_t, d_t = spec.kernel[1], spec.dilation[1]
-        self.span = (k_t - 1) * d_t + 1
-        self.left = spec.pad[2]
-        self.right = spec.pad[3]
-        # identical freq handling, zero time padding: columns arrive here
-        self.spec = replace(spec, pad=(spec.pad[0], spec.pad[1], 0, 0))
+        self.span = layer.spec.span()[1]
+        self.right = layer.spec.pad[3]
         self.buf: deque[np.ndarray] = deque(maxlen=self.span)
-        self.in_channels = spec.in_channels
-        self.reset()
 
-    def reset(self, freq: int | None = None):
-        self.buf.clear()
-        self._freq = freq
-        if freq is not None:
-            for _ in range(self.left):
-                self.buf.append(self._zero())
-
-    def _zero(self):
-        return np.zeros((1, self.in_channels, self._freq, 1), dtype=np.float32)
-
-    def push(self, col: np.ndarray) -> np.ndarray | None:
-        if self._freq is None:
-            self.reset(freq=col.shape[2])
-        self.buf.append(col)
-        if len(self.buf) < self.span:
-            return None
-        window = np.concatenate(list(self.buf), axis=3)
-        out, _ = conv2d_forward(window, self.layer.weight.data, self.spec,
+    def _column(self, after: int) -> np.ndarray:
+        """Output column whose window ends ``after`` columns past the last input."""
+        cols = list(self.buf)[max(0, len(self.buf) - (self.span - after)):]
+        lf, rf, _, _ = self.layer.spec.pad
+        spec = replace(self.layer.spec, pad=(lf, rf, self.span - after - len(cols), after))
+        # stacked frame-major, the memory order conv2d_forward computes in
+        window = np.concatenate([c.transpose(0, 3, 1, 2) for c in cols], axis=1)
+        out, _ = conv2d_forward(window.transpose(0, 2, 3, 1), self.layer.weight.data, spec,
                                 bias=None if self.layer.bias is None
-                                else self.layer.bias.data,
-                                method="column")
+                                else self.layer.bias.data)
         return out
 
+    def push(self, col: np.ndarray) -> np.ndarray | None:
+        self.buf.append(col)
+        return self._column(0) if len(self.buf) > self.right else None
+
     def flush(self):
-        for _ in range(self.right):
-            out = self.push(self._zero())
-            if out is not None:
-                yield out
+        for after in range(max(1, self.right - len(self.buf) + 1), self.right + 1):
+            yield self._column(after)
 
 
 class _BlockStream:
@@ -102,9 +92,10 @@ class StreamingModel:
     """Incremental forward over normalized LPS columns.
 
     push_frame() accepts one (freq_bins,) column and returns the output
-    columns that became computable; flush() drains the look-ahead. A model
-    with look-ahead L emits its first output on input frame L (so after
-    L + 1 frames).
+    columns that became computable; flush() drains the look-ahead and ends
+    the stream: its outputs assumed nothing follows, so a later push_frame()
+    or flush() raises RuntimeError. A model with look-ahead L emits its first
+    output on input frame L (so after L + 1 frames).
     """
 
     def __init__(self, model: Model):
@@ -157,6 +148,7 @@ class StreamingModel:
         self.frames_out = 0
         self.first_output_after: int | None = None
         self._out: list[np.ndarray] = []
+        self._flushed = False
 
     # -- dataflow ----------------------------------------------------------------
 
@@ -186,7 +178,7 @@ class StreamingModel:
         return self.blocks[blk].push(x_in, primary)
 
     def _emit(self, col: np.ndarray):
-        y = self.model.output_conv.forward(col, method="column", record=False)
+        y = self.model.output_conv.forward(col)
         y = self.model.output_act.forward(y, training=False, record=False)
         if self.first_output_after is None:
             self.first_output_after = self.frames_in
@@ -204,6 +196,8 @@ class StreamingModel:
 
     def push_frame(self, frame: np.ndarray) -> list[np.ndarray]:
         """Feed one normalized LPS frame; returns output frames now ready."""
+        if self._flushed:
+            raise RuntimeError("push_frame() after flush(): the stream has ended")
         self.frames_in += 1
         before = len(self._out)
         h = self.input_conv.push(self._input_column(frame))
@@ -212,7 +206,10 @@ class StreamingModel:
         return self._take(before)
 
     def flush(self) -> list[np.ndarray]:
-        """Feed the right-padding zeros; returns the remaining output frames."""
+        """End the stream; returns the look-ahead's remaining output frames."""
+        if self._flushed:
+            raise RuntimeError("flush() after flush(): the stream has ended")
+        self._flushed = True
         before = len(self._out)
         for h in self.input_conv.flush():
             self._produce(0, h)

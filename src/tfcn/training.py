@@ -19,6 +19,7 @@ import numpy as np
 from .config import StftConfig, TrainConfig
 from .dsp import Normalizer, lps, stft
 from .engine import Parameter
+from .fileio import replace_file
 
 log = logging.getLogger(__name__)
 
@@ -273,7 +274,7 @@ HISTORY_FIELDS = ("epoch", "train_loss", "val_loss", "lr", "event")
 
 
 def write_history_csv(path, rows: list[EpochRow]) -> None:
-    with open(path, "w", newline="") as fh:
+    with replace_file(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(HISTORY_FIELDS)
         for r in rows:

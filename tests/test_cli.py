@@ -8,9 +8,9 @@ import pytest
 from tfcn.audio import AudioError, load_audio, read_wav, sinc_decimate, write_wav
 from tfcn.checkpoint import save_checkpoint
 from tfcn.cli import main
-from tfcn.config import CausalityMode, RunConfig, tfcn_config
+from tfcn.config import CausalityMode, RunConfig, tcn_lps_config, tfcn_config, tfcn_d_config
 from tfcn.dsp import Normalizer, compute_norm_stats, load_normalizer, lps, stft
-from tfcn.enhance import enhance_waveform
+from tfcn.enhance import enhance_lps, enhance_lps_streaming, enhance_waveform
 from tfcn.model import build_model
 from tfcn.streaming import StreamingModel
 from tfcn.synth import generate_corpus, load_manifest, load_pairs
@@ -310,6 +310,34 @@ class TestEnhance:
                 emitted_at = i + 1
         assert emitted_at == 5
         assert stream.first_output_after == 5
+
+    @pytest.mark.parametrize("variant", ["tcn_lps", "tfcn_d"])
+    @pytest.mark.parametrize("causality", [CausalityMode.causal(),
+                                           CausalityMode.semi_causal(3)],
+                             ids=["causal", "semi3"])
+    def test_streaming_lps_bitwise_matches_batch(self, variant, causality):
+        # tcn_lps has a freq extent of 1 (one-frame GEMMs are matrix-vector
+        # products); tfcn_d has dense wiring and full (non-depth-wise) convs
+        make = {"tcn_lps": tcn_lps_config, "tfcn_d": tfcn_d_config}[variant]
+        cfg = make(causality, repeated_blocks=2, dilated_blocks_per_repeat=3,
+                   freq_bins=24, block_channels=8, bottleneck_channels=12)
+        model = build_model(cfg, seed=5)
+        norm = unit_normalizer(24)
+        noisy = np.random.default_rng(3).uniform(-12.0, 0.0, (23, 24)).astype(np.float32)
+        streamed, first_after = enhance_lps_streaming(model, norm, noisy)
+        np.testing.assert_array_equal(streamed, enhance_lps(model, norm, noisy))
+        assert first_after == model.look_ahead_frames + 1
+
+    def test_push_or_flush_after_flush_raises(self):
+        cfg = small_causal_cfg(freq_bins=16)
+        stream = StreamingModel(build_model(cfg, seed=0))
+        stream.push_frame(np.zeros(16, np.float32))
+        stream.flush()
+        with pytest.raises(RuntimeError, match="after flush"):
+            stream.push_frame(np.zeros(16, np.float32))
+        with pytest.raises(RuntimeError, match="after flush"):
+            stream.flush()
+        assert stream.frames_out == 1
 
     def test_streaming_rejects_non_causal(self):
         cfg = tfcn_config(repeated_blocks=1, dilated_blocks_per_repeat=1, freq_bins=16)

@@ -1,9 +1,13 @@
 """Model construction, padding plans, receptive fields, causality probes,
 dense wiring and the checkpoint format."""
 
+import errno
+import io
+
 import numpy as np
 import pytest
 
+import tfcn.fileio
 from oracles import conv1d_reference, model_forward_f64, model_params_f64
 from tfcn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from tfcn.config import (
@@ -388,3 +392,27 @@ class TestCheckpoint:
                          + new_head + raw[12 + head_len:])
         with pytest.raises(CheckpointError, match="learnable scalars"):
             load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        class DiskFull(io.FileIO):
+            def write(self, data):
+                if self.tell() > 64:          # dies after the header starts
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+        model = self._small_model()
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(path, model)
+        before = path.read_bytes()
+        saved = [p.data.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.data += 1.0
+        monkeypatch.setattr(tfcn.fileio, "open", lambda f, mode, **kw: DiskFull(f, "w"),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, model)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["last.ckpt"]
+        for p, want in zip(load_checkpoint(path).model.parameters(), saved):
+            np.testing.assert_array_equal(p.data, want)
