@@ -82,14 +82,29 @@ def save_checkpoint(path, model: Model, normalizer: Normalizer | None = None,
 
 
 def load_checkpoint(path) -> LoadedCheckpoint:
+    """Read a checkpoint; any malformed file raises CheckpointError."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        head_len = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-        header = json.loads(fh.read(head_len).decode("utf-8"))
-        payload = fh.read()
+        body = fh.read()
+    try:
+        return _parse(body)
+    except CheckpointError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint ({exc!r})") from exc
 
+
+def _parse(body: bytes) -> LoadedCheckpoint:
+    """Everything after the magic: header length, JSON header, array data."""
+    if len(body) < 4:
+        raise CheckpointError("truncated header length")
+    head_len = int.from_bytes(body[:4], "little")
+    header = json.loads(body[4:4 + head_len].decode("utf-8"))
+    payload = body[4 + head_len:]
+    if not isinstance(header, dict):
+        raise CheckpointError("header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint format {header.get('format_version')}")
     cfg = ModelConfig.from_dict(header["config"])
@@ -106,30 +121,40 @@ def load_checkpoint(path) -> LoadedCheckpoint:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if not isinstance(start, int) or start < 0:
+            raise CheckpointError(f"bad offset {start!r} for {entry['name']}")
         raw = payload[start:start + 4 * count]
         if len(raw) != 4 * count:
             raise CheckpointError(f"truncated data for {entry['name']}")
         return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
     model = build_model(cfg, seed=int(header["seed"]))
-    by_name = {p.name: p for p in model.parameters()}
+    params = {p.name: p.data for p in model.parameters()}
+    buffers = dict(model.named_buffers())
+    seen: set[str] = set()
     opt_arrays: dict[str, np.ndarray] = {}
     for entry in manifest:
-        if entry["kind"] == "param":
-            if entry["name"] not in by_name:
-                raise CheckpointError(f"unknown parameter {entry['name']} in manifest")
-            target = by_name[entry["name"]]
-            value = read(entry)
-            if value.shape != target.data.shape:
-                raise CheckpointError(
-                    f"{entry['name']}: stored shape {value.shape} != model {target.data.shape}")
-            target.data = value
-        elif entry["kind"] == "buffer":
-            model.set_buffer(entry["name"], read(entry))
-        elif entry["kind"] == "opt":
-            opt_arrays[entry["name"]] = read(entry)
-        else:
-            raise CheckpointError(f"unknown manifest kind {entry['kind']!r}")
+        name, kind = entry["name"], entry["kind"]
+        if name in seen:
+            raise CheckpointError(f"{name} appears twice in the manifest")
+        seen.add(name)
+        if kind == "opt":
+            opt_arrays[name] = read(entry)
+            continue
+        if kind not in ("param", "buffer"):
+            raise CheckpointError(f"unknown manifest kind {kind!r}")
+        arrays = params if kind == "param" else buffers
+        if name not in arrays:
+            raise CheckpointError(f"unknown {kind} {name} in manifest")
+        value = read(entry)
+        if value.shape != arrays[name].shape:
+            raise CheckpointError(
+                f"{name}: stored shape {value.shape} != model {arrays[name].shape}")
+        arrays[name][...] = value
+    # names are unique and the scalar total matched, so every parameter is set
+    missing = sorted(set(buffers) - seen)
+    if missing:
+        raise CheckpointError(f"manifest lacks buffers {missing}")
 
     norm = None
     if header.get("normalizer") is not None:

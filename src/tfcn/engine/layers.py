@@ -50,6 +50,7 @@ class Conv2d:
     """
 
     def __init__(self, spec: ConvSpec, rng: np.random.Generator, name: str = "conv"):
+        self.name = name
         self.spec = spec
         fan_in = (spec.in_channels // spec.groups) * spec.kernel[0] * spec.kernel[1]
         bound = float(np.sqrt(1.0 / fan_in))
@@ -75,7 +76,7 @@ class Conv2d:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._ctx is None:
-            raise RuntimeError(f"{self.weight.name[:-7]}: backward without a recorded forward")
+            raise RuntimeError(f"{self.name}: backward without a recorded forward")
         grad_x, grad_w, grad_b = conv2d_backward(grad_out, self._ctx)
         self._ctx = None
         self.weight.accumulate(grad_w)
@@ -95,6 +96,7 @@ class BatchNorm:
 
     def __init__(self, channels: int, name: str = "bn", epsilon: float = 1e-5,
                  momentum: float = 0.1):
+        self.name = name
         self.channels = channels
         self.epsilon = float(epsilon)
         self.momentum = float(momentum)
@@ -110,7 +112,7 @@ class BatchNorm:
     def _check(self, x):
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
-                f"{self.gamma.name[:-6]}: expected (B, {self.channels}, F, T) input, "
+                f"{self.name}: expected (B, {self.channels}, F, T) input, "
                 f"got {x.shape}")
 
     def forward(self, x: np.ndarray, training: bool, record: bool | None = None) -> np.ndarray:
@@ -136,7 +138,7 @@ class BatchNorm:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._ctx is None:
-            raise RuntimeError("BatchNorm.backward without a recorded forward")
+            raise RuntimeError(f"{self.name}: backward without a recorded forward")
         x_hat, inv_std, was_training = self._ctx
         self._ctx = None
         if grad_out.shape != x_hat.shape:
@@ -154,49 +156,34 @@ class BatchNorm:
 
 
 class PReLU:
-    """max(0, x) + alpha * min(0, x) with a learnable slope.
+    """max(0, x) + alpha * min(0, x) with one learnable slope per layer."""
 
-    One shared alpha per layer by default; per-channel when ``channels`` is
-    given with ``shared=False``.
-    """
-
-    def __init__(self, name: str = "prelu", channels: int | None = None,
-                 shared: bool = True, init: float = 0.25):
-        if not shared and channels is None:
-            raise ValueError("per-channel PReLU needs a channel count")
-        self.shared = shared
-        shape = (1,) if shared else (channels,)
-        self.alpha = Parameter(f"{name}.alpha", np.full(shape, init))
+    def __init__(self, name: str = "prelu", init: float = 0.25):
+        self.name = name
+        self.alpha = Parameter(f"{name}.alpha", np.full((1,), init))
         self._ctx = None
 
     def parameters(self):
         return [self.alpha]
 
-    def _alpha_col(self):
-        a = self.alpha.data
-        return a.reshape(1, -1, 1, 1) if not self.shared else a.reshape(1, 1, 1, 1)
-
     def forward(self, x: np.ndarray, training: bool = False,
                 record: bool | None = None) -> np.ndarray:
         record = training if record is None else record
         neg = np.minimum(x, 0.0)
-        y = np.maximum(x, 0.0) + self._alpha_col() * neg
+        y = np.maximum(x, 0.0) + self.alpha.data * neg
         if record:
             self._ctx = (x, neg)
         return y.astype(np.float32, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._ctx is None:
-            raise RuntimeError("PReLU.backward without a recorded forward")
+            raise RuntimeError(f"{self.name}: backward without a recorded forward")
         x, neg = self._ctx
         self._ctx = None
         if grad_out.shape != x.shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} != forward {x.shape}")
-        if self.shared:
-            self.alpha.accumulate(np.array([(grad_out * neg).sum()], dtype=np.float32))
-        else:
-            self.alpha.accumulate((grad_out * neg).sum(axis=(0, 2, 3)))
-        slope = np.where(x >= 0.0, np.float32(1.0), self._alpha_col().astype(np.float32))
+        self.alpha.accumulate(np.array([(grad_out * neg).sum()], dtype=np.float32))
+        slope = np.where(x >= 0.0, np.float32(1.0), self.alpha.data)
         return (grad_out * slope).astype(np.float32, copy=False)
 
 

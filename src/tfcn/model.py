@@ -2,10 +2,11 @@
 
 The network is input module (batch norm + conv), R repeated blocks of M
 dilated blocks, and a point-wise output conv with PReLU. A dilated block is
-1x1 conv -> PReLU -> BN -> dilated conv -> PReLU -> BN -> 1x1 conv, plus a
-residual from the block's primary 16-channel input. Dense variants feed each
-block the channel-concatenation of all earlier block outputs; the residual
-always uses only the primary stream.
+Conv-TasNet's 1x1 conv -> PReLU -> BN -> dilated conv -> PReLU -> BN -> 1x1
+conv, plus a residual from the block's primary 16-channel input. Which
+features each block reads is the network plan (``tfcn.plan``): construction
+sizes conv0 from it, the forward walks it and drops each feature after its
+last reader, and the backward walks it in reverse.
 
 tcn_lps maps the 256 frequency bins onto channels (freq axis of extent 1), so
 the same 2-D machinery runs the 1-D structure.
@@ -27,17 +28,18 @@ from .engine import (
     split_channels,
 )
 from .padding import PadPlan, plan_padding
+from .plan import BlockNode, network_plan
 
 
 class DilatedBlock:
     """One dilated block; ``backward`` returns grads for the concatenated
     input and for the residual (primary) input separately."""
 
-    def __init__(self, cfg: ModelConfig, r: int, n: int, plan: PadPlan,
+    def __init__(self, cfg: ModelConfig, node: BlockNode, plan: PadPlan,
                  rng: np.random.Generator):
-        name = f"rb{r}.db{n}"
+        name = node.name
         mid = cfg.bottleneck_channels
-        in_ch = cfg.conv0_in_channels(r, n)
+        in_ch = cfg.block_channels * len(node.sources)
         groups = mid if cfg.depthwise_dilated else 1
         self.conv0 = Conv2d(ConvSpec(in_ch, mid, (1, 1)), rng, f"{name}.conv0")
         self.act0 = PReLU(f"{name}.act0")
@@ -56,32 +58,27 @@ class DilatedBlock:
         return [p for layer in self.layers() for p in layer.parameters()]
 
     def forward(self, x_in, primary, training=False, record=False):
-        h = self.conv0.forward(x_in, record)
-        h = self.act0.forward(h, training, record)
-        h = self.bn0.forward(h, training, record)
-        h = self.conv1.forward(h, record)
-        h = self.act1.forward(h, training, record)
-        h = self.bn1.forward(h, training, record)
-        h = self.conv2.forward(h, record)
+        h = x_in
+        for layer in self.layers():
+            h = (layer.forward(h, record) if isinstance(layer, Conv2d)
+                 else layer.forward(h, training, record))
         return add_residual(h, primary)
 
     def backward(self, grad_out):
-        g = self.conv2.backward(grad_out)
-        g = self.bn1.backward(g)
-        g = self.act1.backward(g)
-        g = self.conv1.backward(g)
-        g = self.bn0.backward(g)
-        g = self.act0.backward(g)
-        g_x_in = self.conv0.backward(g)
-        return g_x_in, grad_out
+        g = grad_out
+        for layer in reversed(self.layers()):
+            g = layer.backward(g)
+        return g, grad_out
 
 
 class Model:
-    """A built network: parameter set plus the padding plan it was sized for."""
+    """A built network: parameter set, network plan and the padding plan it
+    was sized for."""
 
     def __init__(self, config: ModelConfig, seed: int):
         self.config = config
         self.seed = int(seed)
+        self.plan = network_plan(config)
         self.pad_plan = plan_padding(config)
         rng = np.random.default_rng(self.seed)
         net_ch = config.freq_bins if config.variant == "tcn_lps" else 1
@@ -90,15 +87,17 @@ class Model:
         self.input_conv = Conv2d(
             ConvSpec(net_ch, config.block_channels, pin.kernel, pin.dilation, pad=pin.pad),
             rng, "input.conv")
-        self.blocks: list[list[DilatedBlock]] = []
-        for r in range(config.repeated_blocks):
-            row = [DilatedBlock(config, r, n, self.pad_plan, rng)
-                   for n in range(config.dilated_blocks_per_repeat)]
-            self.blocks.append(row)
+        self.blocks: list[list[DilatedBlock]] = [[] for _ in range(config.repeated_blocks)]
+        for node in self.plan.blocks:
+            self.blocks[node.repeat].append(DilatedBlock(config, node, self.pad_plan, rng))
         self.output_conv = Conv2d(ConvSpec(config.block_channels, net_ch, (1, 1)),
                                   rng, "output.conv")
         self.output_act = PReLU("output.act")
-        self._wiring = None
+        self._batch_norms = {layer.name: layer for layer in self._layer_objects()
+                             if isinstance(layer, BatchNorm)}
+
+    def block(self, node: BlockNode) -> DilatedBlock:
+        return self.blocks[node.repeat][node.index]
 
     # -- parameter bookkeeping -------------------------------------------------
 
@@ -115,25 +114,14 @@ class Model:
         return [p for layer in self._layer_objects() for p in layer.parameters()]
 
     def named_buffers(self):
-        out = []
-        for layer in self._layer_objects():
-            if isinstance(layer, BatchNorm):
-                prefix = layer.gamma.name[:-6]
-                out.append((f"{prefix}.running_mean", layer.running_mean))
-                out.append((f"{prefix}.running_var", layer.running_var))
-        return out
+        return [(f"{name}.{buf}", getattr(bn, buf)) for name, bn in self._batch_norms.items()
+                for buf in ("running_mean", "running_var")]
 
     def set_buffer(self, name: str, value: np.ndarray) -> None:
-        for layer in self._layer_objects():
-            if isinstance(layer, BatchNorm):
-                prefix = layer.gamma.name[:-6]
-                if name == f"{prefix}.running_mean":
-                    layer.running_mean = np.ascontiguousarray(value, dtype=np.float32)
-                    return
-                if name == f"{prefix}.running_var":
-                    layer.running_var = np.ascontiguousarray(value, dtype=np.float32)
-                    return
-        raise KeyError(name)
+        layer, _, buf = name.rpartition(".")
+        if layer not in self._batch_norms or buf not in ("running_mean", "running_var"):
+            raise KeyError(name)
+        setattr(self._batch_norms[layer], buf, np.ascontiguousarray(value, dtype=np.float32))
 
     def zero_grad(self):
         for p in self.parameters():
@@ -180,7 +168,6 @@ class Model:
         x = np.ascontiguousarray(x, dtype=np.float32)
         overrides = overrides or {}
         record = training
-        cfg = self.config
 
         def tap(name, value):
             if name in overrides:
@@ -192,79 +179,37 @@ class Model:
         h = self._to_net_layout(x)
         h = self.input_bn.forward(h, training, record)
         h = self.input_conv.forward(h, record)
-        h = tap("input", h)
+        feats = {0: tap("input", h)}
+        last = self.config.dilated_blocks_per_repeat - 1
+        for node in self.plan.blocks:
+            x_in = tap(f"{node.name}.in", concat_channels([feats[f] for f in node.sources]))
+            out = self.block(node).forward(x_in, feats[node.primary], training, record)
+            for f in node.last_reads:
+                del feats[f]
+            out = tap(f"{node.name}.out", out)
+            if node.index == last:
+                out = tap(f"rb{node.repeat}.out", out)
+            feats[node.out] = out
 
-        wiring = [] if record else None
-        feat_arrays = {0: h}
-        next_id = 1
-        inter_ids = [0]
-        primary, primary_id = h, 0
-        for r in range(cfg.repeated_blocks):
-            rb_source_ids = list(inter_ids) if cfg.dense_inter else [primary_id]
-            intra_ids = list(rb_source_ids)
-            for n in range(cfg.dilated_blocks_per_repeat):
-                if cfg.dense_intra:
-                    src_ids = list(intra_ids)
-                elif n == 0:
-                    src_ids = list(rb_source_ids)
-                else:
-                    src_ids = [primary_id]
-                x_in = concat_channels([feat_arrays[i] for i in src_ids])
-                x_in = tap(f"rb{r}.db{n}.in", x_in)
-                out = self.blocks[r][n].forward(x_in, primary, training, record)
-                out = tap(f"rb{r}.db{n}.out", out)
-                out_id = next_id
-                next_id += 1
-                feat_arrays[out_id] = out
-                if wiring is not None:
-                    wiring.append((r, n, src_ids, primary_id, out_id))
-                primary, primary_id = out, out_id
-                if cfg.dense_intra:
-                    intra_ids.append(out_id)
-            primary = tap(f"rb{r}.out", primary)
-            feat_arrays[primary_id] = primary
-            if cfg.dense_inter:
-                inter_ids.append(primary_id)
-        if wiring is not None:
-            self._wiring = (wiring, primary_id)
-
-        y = self.output_conv.forward(primary, record)
+        y = self.output_conv.forward(feats.pop(self.plan.final), record)
         y = self.output_act.forward(y, training, record)
         y = tap("output", y)
         return self._from_net_layout(y)
 
     def backward(self, grad_out):
-        """Propagate loss gradients recorded by the latest training forward."""
-        if self._wiring is None:
-            raise RuntimeError("backward requires a previous forward with training=True")
-        wiring, final_id = self._wiring
-        self._wiring = None
+        """Propagate loss gradients recorded by the latest training forward;
+        without one, a layer raises RuntimeError."""
         g = self._to_net_layout(np.ascontiguousarray(grad_out, dtype=np.float32))
         g = self.output_act.backward(g)
         g = self.output_conv.backward(g)
-
-        acc: dict[int, np.ndarray] = {final_id: g}
-
-        def add_to(fid, value):
-            if fid in acc:
-                acc[fid] = acc[fid] + value
-            else:
-                acc[fid] = value
-
+        grads = {self.plan.final: g}
         width = self.config.block_channels
-        for r, n, src_ids, primary_id, out_id in reversed(wiring):
-            g_out = acc.pop(out_id)
-            g_x_in, g_primary = self.blocks[r][n].backward(g_out)
-            add_to(primary_id, g_primary)
-            if len(src_ids) == 1:
-                add_to(src_ids[0], g_x_in)
-            else:
-                for fid, piece in zip(src_ids, split_channels(g_x_in, [width] * len(src_ids))):
-                    add_to(fid, piece)
-        g = acc.pop(0)
-        if acc:
-            raise RuntimeError(f"unconsumed gradient accumulators: {sorted(acc)}")
-        g = self.input_conv.backward(g)
+        for node in reversed(self.plan.blocks):
+            g_x_in, g_primary = self.block(node).backward(grads.pop(node.out))
+            pieces = split_channels(g_x_in, [width] * len(node.sources))
+            for f, piece in [(node.primary, g_primary), *zip(node.sources, pieces)]:
+                grads[f] = grads[f] + piece if f in grads else piece
+        g = self.input_conv.backward(grads.pop(0))
         g = self.input_bn.backward(g)
         return self._from_net_layout(g)
 

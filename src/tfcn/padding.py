@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import ConfigError, ModelConfig
+from .plan import network_plan
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,10 @@ class PadPlan:
 def conv_layer_geometry(cfg: ModelConfig) -> list[tuple[str, tuple[int, int], tuple[int, int]]]:
     """(name, kernel, dilation) for every conv layer in network order."""
     layers = [("input.conv", cfg.input_kernel, (1, 1))]
-    k_f, k_t = cfg.dilated_kernel
-    for r in range(cfg.repeated_blocks):
-        for n in range(cfg.dilated_blocks_per_repeat):
-            d = cfg.dilation_for(n)
-            d_f = d if k_f > 1 else 1
-            layers.append((f"rb{r}.db{n}.conv0", (1, 1), (1, 1)))
-            layers.append((f"rb{r}.db{n}.conv1", (k_f, k_t), (d_f, d)))
-            layers.append((f"rb{r}.db{n}.conv2", (1, 1), (1, 1)))
+    for b in network_plan(cfg).blocks:
+        layers += [(f"{b.name}.conv0", (1, 1), (1, 1)),
+                   (f"{b.name}.conv1", cfg.dilated_kernel, b.dilation),
+                   (f"{b.name}.conv2", (1, 1), (1, 1))]
     layers.append(("output.conv", (1, 1), (1, 1)))
     return layers
 

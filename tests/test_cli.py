@@ -12,6 +12,7 @@ from tfcn.config import CausalityMode, RunConfig, tcn_lps_config, tfcn_config, t
 from tfcn.dsp import Normalizer, compute_norm_stats, load_normalizer, lps, stft
 from tfcn.enhance import enhance_lps, enhance_lps_streaming, enhance_waveform
 from tfcn.model import build_model
+from tfcn.padding import max_look_ahead
 from tfcn.streaming import StreamingModel
 from tfcn.synth import generate_corpus, load_manifest, load_pairs
 
@@ -313,14 +314,18 @@ class TestEnhance:
 
     @pytest.mark.parametrize("variant", ["tcn_lps", "tfcn_d"])
     @pytest.mark.parametrize("causality", [CausalityMode.causal(),
-                                           CausalityMode.semi_causal(3)],
-                             ids=["causal", "semi3"])
+                                           CausalityMode.semi_causal(3),
+                                           None],
+                             ids=["causal", "semi3", "semimax"])
     def test_streaming_lps_bitwise_matches_batch(self, variant, causality):
         # tcn_lps has a freq extent of 1 (one-frame GEMMs are matrix-vector
-        # products); tfcn_d has dense wiring and full (non-depth-wise) convs
+        # products); tfcn_d has dense wiring and full (non-depth-wise) convs.
+        # At the maximum look-ahead (None) every dilated conv reads the future.
         make = {"tcn_lps": tcn_lps_config, "tfcn_d": tfcn_d_config}[variant]
         cfg = make(causality, repeated_blocks=2, dilated_blocks_per_repeat=3,
                    freq_bins=24, block_channels=8, bottleneck_channels=12)
+        if causality is None:
+            cfg = cfg.with_causality(CausalityMode.semi_causal(max_look_ahead(cfg)))
         model = build_model(cfg, seed=5)
         norm = unit_normalizer(24)
         noisy = np.random.default_rng(3).uniform(-12.0, 0.0, (23, 24)).astype(np.float32)

@@ -341,13 +341,6 @@ class TestPReLU:
 
         assert np.abs(gx - numeric_gradient(loss, x64, step=1e-3)).max() < 1e-3
 
-    def test_per_channel_mode(self, rng):
-        act = PReLU(channels=3, shared=False)
-        act.alpha.data[:] = [0.0, 0.5, 1.0]
-        x = -np.ones((1, 3, 2, 2), dtype=np.float32)
-        y = act.forward(x)
-        np.testing.assert_allclose(y[0, :, 0, 0], [0.0, -0.5, -1.0])
-
 
 class TestConcatAndResidual:
     def test_single_input_identity(self, rng):

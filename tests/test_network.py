@@ -3,6 +3,7 @@ dense wiring and the checkpoint format."""
 
 import errno
 import io
+import json
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ class TestForwardContract:
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             model.forward(x)
+
+    def test_backward_needs_one_training_forward(self, rng):
+        cfg = tfcn_d_config(repeated_blocks=2, dilated_blocks_per_repeat=2, freq_bins=16)
+        model = build_model(cfg, seed=0)
+        x = rng.uniform(-1, 1, (1, 1, 16, 5)).astype(np.float32)
+        with pytest.raises(RuntimeError, match="backward without a recorded forward"):
+            model.backward(np.ones_like(x))
+        model.forward(x, training=True)
+        assert model.backward(np.ones_like(x)).shape == x.shape
+        with pytest.raises(RuntimeError, match="backward without a recorded forward"):
+            model.backward(np.ones_like(x))
 
     def test_forward_matches_float64_replica(self, rng):
         # cross-checks the dense wiring against an independent re-derivation
@@ -326,6 +338,16 @@ class TestOneDimensionalEquivalence:
         assert model.forward(x).shape == (2, 1, 12, 5)
 
 
+def _edit_entry(name, key, value):
+    """Header edit: set ``key`` of manifest entry ``name`` to ``value``."""
+    def edit(header):
+        for entry in header["manifest"]:
+            if entry["name"] == name:
+                entry[key] = value
+        return header
+    return edit
+
+
 class TestCheckpoint:
     def _small_model(self):
         cfg = tfcn_config(CausalityMode.causal(), repeated_blocks=1,
@@ -391,6 +413,28 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + np.uint32(len(new_head)).tobytes()
                          + new_head + raw[12 + head_len:])
         with pytest.raises(CheckpointError, match="learnable scalars"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("raw_edit, header_edit", [
+        (lambda raw: raw[:8], None),
+        (lambda raw: raw[:40], None),
+        (None, lambda h: [h]),
+        (None, lambda h: {k: v for k, v in h.items() if k != "config"}),
+        (None, _edit_entry("rb0.db0.bn0.running_var", "name", "rb0.db0.bn9.running_var")),
+        (None, _edit_entry("rb0.db0.act1.alpha", "name", "rb0.db0.act0.alpha")),
+        (None, _edit_entry("output.act.alpha", "offset", -8)),
+    ], ids=["magic_only", "truncated_header", "header_list", "no_config",
+            "unknown_buffer", "duplicate_name", "negative_offset"])
+    def test_malformed_file_raises_checkpoint_error(self, tmp_path, raw_edit, header_edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._small_model())
+        raw = path.read_bytes()
+        if header_edit is not None:
+            head_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+            head = json.dumps(header_edit(json.loads(raw[12:12 + head_len]))).encode()
+            raw = raw[:8] + np.uint32(len(head)).tobytes() + head + raw[12 + head_len:]
+        path.write_bytes(raw_edit(raw) if raw_edit is not None else raw)
+        with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
