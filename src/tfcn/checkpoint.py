@@ -6,8 +6,10 @@ carries the model config, init seed, format version and a manifest of
 (name, shape, offset, kind) entries; kinds are "param" (learnable), "buffer"
 (BN running statistics) and "opt" (Adam moments, present only in resumable
 training checkpoints). Loading validates that the param entries sum exactly
-to the architecture's analytic parameter count. A save replaces the file
-whole, so an interrupted one leaves the previous checkpoint intact.
+to the architecture's analytic parameter count, that each entry's offset
+follows the one before, and that a training state is one ``train`` can
+resume from. A save replaces the file whole, so an interrupted one leaves
+the previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .config import ModelConfig
 from .dsp import Normalizer
 from .fileio import replace_file
 from .model import Model, build_model, param_count
+from .schedule import check_training_state
 
 MAGIC = b"TFCNCKP1"
 FORMAT_VERSION = 1
@@ -117,15 +120,18 @@ def _parse(body: bytes) -> LoadedCheckpoint:
         raise CheckpointError(
             f"manifest holds {param_total} learnable scalars, architecture needs {expected}")
 
+    end = 0
+
     def read(entry):
+        nonlocal end
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        if not isinstance(start, int) or start < 0:
-            raise CheckpointError(f"bad offset {start!r} for {entry['name']}")
-        raw = payload[start:start + 4 * count]
+        if entry["offset"] != end:
+            raise CheckpointError(f"bad offset {entry['offset']!r} for {entry['name']}")
+        raw = payload[end:end + 4 * count]
         if len(raw) != 4 * count:
             raise CheckpointError(f"truncated data for {entry['name']}")
+        end += len(raw)
         return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
     model = build_model(cfg, seed=int(header["seed"]))
@@ -156,6 +162,7 @@ def _parse(body: bytes) -> LoadedCheckpoint:
     if missing:
         raise CheckpointError(f"manifest lacks buffers {missing}")
 
+    check_training_state(header.get("training_state"))
     norm = None
     if header.get("normalizer") is not None:
         norm = Normalizer(

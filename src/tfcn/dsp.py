@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import StftConfig
 
@@ -39,8 +38,7 @@ def stft(samples: np.ndarray, cfg: StftConfig | None = None) -> np.ndarray:
     if samples.ndim != 1:
         raise ValueError("expected a mono 1-D sample array")
     n_frames = frame_count(samples.size, cfg)
-    used = (n_frames - 1) * cfg.hop + cfg.frame_len
-    frames = sliding_window_view(samples[:used], cfg.frame_len)[::cfg.hop]
+    frames = samples[np.arange(n_frames)[:, None] * cfg.hop + np.arange(cfg.frame_len)]
     return np.fft.rfft(frames * cfg.window, axis=1)
 
 

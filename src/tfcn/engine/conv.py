@@ -1,9 +1,12 @@
 """Grouped dilated 2-D convolution with hand-written forward and backward.
 
-Arrays are float32 in (batch, channel, freq, time) layout. One forward
-kernel serves training, validation, batch enhancement and streaming, and a
-streamed frame is bitwise equal to its batch counterpart (see
-``conv2d_forward``). ``tests/oracles.py`` is its independent cross-check.
+Arrays are float32 with (batch, channel, freq, time) axes over frame-major
+(B, T, C, F) memory, activations and gradients alike. Both passes walk the
+same taps over the same rectangles (``_live_taps``): neither pads its input,
+and both skip taps that read only padding. One forward kernel serves
+training, validation, batch enhancement and streaming, and a streamed frame
+is bitwise equal to its batch counterpart (see ``conv2d_forward``).
+``tests/oracles.py`` is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -11,10 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-# bytes of one block copied by channel_major: small enough for a typical L2 cache
-_BLOCK_BYTES = 1 << 21
 
 
 class ShapeError(ValueError):
@@ -89,6 +88,9 @@ class Conv2dContext:
     out_shape: tuple[int, int, int, int]
 
 
+_ALL = slice(None)
+
+
 def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
     if x.ndim != 4:
         raise ShapeError(f"expected (batch, channel, freq, time) input, got {x.ndim}-d")
@@ -97,18 +99,18 @@ def _check_input(x: np.ndarray, spec: ConvSpec) -> None:
             f"channel axis: input has {x.shape[1]} channels, spec expects {spec.in_channels}")
 
 
-def _pad(x: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    lf, rf, lt, rt = spec.pad
-    if lf == rf == lt == rt == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (lf, rf), (lt, rt)))
+def _grouped(a: np.ndarray, groups: int) -> np.ndarray:
+    """Frame-major (B, T, groups, C/groups, F) float32 view of a (B, C, F, T)
+    array; copies only when its memory is not already frame-major."""
+    b_sz, channels, n_f, n_t = a.shape
+    at = np.ascontiguousarray(a.transpose(0, 3, 1, 2), dtype=np.float32)
+    return at.reshape(b_sz, n_t, groups, channels // groups, n_f)
 
 
-def _windows(xp: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Strided view (B, C, F_out, T_out, k_f, k_t) of dilated taps."""
-    span_f, span_t = spec.span()
-    win = sliding_window_view(xp, (span_f, span_t), axis=(2, 3))
-    return win[..., ::spec.dilation[0], ::spec.dilation[1]]
+def _taps(weight: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """(k_f, k_t, groups, C_out/g, C_in/g): each tap's matrix has unit stride, as BLAS needs."""
+    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=np.float32)
+    return taps.reshape(*spec.kernel, spec.groups, -1, spec.in_channels // spec.groups)
 
 
 def _tap_range(i: int, d: int, pad_left: int, n_in: int, n_out: int):
@@ -118,23 +120,36 @@ def _tap_range(i: int, d: int, pad_left: int, n_in: int, n_out: int):
     return slice(lo, hi), slice(lo + shift, hi + shift)
 
 
+def _live_taps(spec: ConvSpec, n_f: int, n_t: int, f_out: int, t_out: int):
+    """Yield (i, j, out, inp) for each tap that reads inside the input, in a
+    fixed order. ``out``/``inp`` index the output and input rectangles of
+    grouped frame-major arrays (``_grouped``) between which the tap acts."""
+    lf, _, lt, _ = spec.pad
+    for i in range(spec.kernel[0]):
+        fo, fi = _tap_range(i, spec.dilation[0], lf, n_f, f_out)
+        for j in range(spec.kernel[1]):
+            to, ti = _tap_range(j, spec.dilation[1], lt, n_t, t_out)
+            if fo.start < fo.stop and to.start < to.stop:
+                yield i, j, (_ALL, to, _ALL, _ALL, fo), (_ALL, ti, _ALL, _ALL, fi)
+
+
 def conv2d_forward(x, weight, spec: ConvSpec, bias=None):
     """Run the convolution; returns (output, context).
 
     ``x`` is (B, C_in, F, T) float32; ``weight`` is
     (C_out, C_in/groups, k_f, k_t). The context feeds conv2d_backward.
 
-    Computed frame-major: the taps (i, j) are added in a fixed order, each
-    over the output rectangle where it reads inside the input (padding is
+    The taps (i, j) are added in a fixed order, each over the output
+    rectangle where it reads inside the input (``_live_taps``; padding is
     never materialized). With one input channel per group a tap is an
-    elementwise multiply-add; otherwise it is one ``np.matmul`` per group
-    over the (B, T, C/g, F) frames, a GEMM per frame whose shape does not
+    elementwise multiply-add; otherwise it is one ``np.matmul`` over the
+    (B, T, groups) frames, a GEMM per frame and group whose shape does not
     depend on how many frames are computed together. Every output frame
     therefore equals, bitwise, a call on that frame's window alone, which is
     what lets streaming match the batch forward.
 
     The output is a (B, C_out, F_out, T_out) view of frame-major memory, so a
-    following convolution reads its frames without a copy.
+    following layer reads its frames without a copy.
     """
     _check_input(x, spec)
     if tuple(weight.shape) != spec.weight_shape:
@@ -143,95 +158,54 @@ def conv2d_forward(x, weight, spec: ConvSpec, bias=None):
         raise ShapeError("spec.has_bias is set but no bias given")
     b_sz, _, n_f, n_t = x.shape
     f_out, t_out = spec.out_size(n_f, n_t)
-    groups = spec.groups
-    c_per_g = spec.in_channels // groups
-    out_per_g = spec.out_channels // groups
-    lf, _, lt, _ = spec.pad
-    xt = np.ascontiguousarray(x.transpose(0, 3, 1, 2), dtype=np.float32)
-    yt = np.zeros((b_sz, t_out, spec.out_channels, f_out), dtype=np.float32)
-    # (k_f, k_t, C_out, C_in/g): each tap's matrix has unit stride, as BLAS needs
-    taps = np.ascontiguousarray(weight.transpose(2, 3, 0, 1), dtype=np.float32)
-    if c_per_g == 1:
-        xg = xt.reshape(b_sz, n_t, groups, 1, n_f)
-        yg = yt.reshape(b_sz, t_out, groups, out_per_g, f_out)
-        taps = taps.reshape(*spec.kernel, groups, out_per_g, 1)
-    for i in range(spec.kernel[0]):
-        fo, fi = _tap_range(i, spec.dilation[0], lf, n_f, f_out)
-        for j in range(spec.kernel[1]):
-            to, ti = _tap_range(j, spec.dilation[1], lt, n_t, t_out)
-            if fo.start >= fo.stop or to.start >= to.stop:
-                continue            # the tap reads only padding
-            if c_per_g == 1:
-                yg[:, to, :, :, fo] += taps[i, j] * xg[:, ti, :, :, fi]
-            else:
-                for g in range(groups):
-                    osl = slice(g * out_per_g, (g + 1) * out_per_g)
-                    csl = slice(g * c_per_g, (g + 1) * c_per_g)
-                    yt[:, to, osl, fo] += np.matmul(taps[i, j, osl], xt[:, ti, csl, fi])
+    xg = _grouped(x, spec.groups)
+    taps = _taps(weight, spec)
+    yg = np.zeros((b_sz, t_out, *taps.shape[2:4], f_out), dtype=np.float32)
+    elementwise = spec.in_channels == spec.groups
+    for i, j, out, inp in _live_taps(spec, n_f, n_t, f_out, t_out):
+        if elementwise:
+            yg[out] += taps[i, j] * xg[inp]
+        else:
+            yg[out] += np.matmul(taps[i, j], xg[inp])
+    yt = yg.reshape(b_sz, t_out, spec.out_channels, f_out)
     if spec.has_bias:
         yt += bias[None, None, :, None]
     y = yt.transpose(0, 2, 3, 1)
     return y, Conv2dContext(spec=spec, x=x, weight=weight, out_shape=y.shape)
 
 
-def channel_major(y: np.ndarray) -> np.ndarray:
-    """C-ordered copy of a (B, C, F, T) array, e.g. a conv2d_forward output.
-
-    A frame-major source is copied a block of frames at a time: each block
-    stays in cache, where numpy's one-pass transposing copy runs several
-    times slower.
-    """
-    out = np.empty(y.shape, dtype=y.dtype)
-    step = max(1, _BLOCK_BYTES // (y[..., :1].nbytes or 1))
-    for t in range(0, y.shape[3], step):
-        out[..., t:t + step] = y[..., t:t + step]
-    return out
-
-
 def conv2d_backward(grad_out, ctx: Conv2dContext):
-    """Gradients wrt input, weight and bias from the saved forward context."""
+    """Gradients wrt input, weight and bias from the saved forward context.
+
+    Walks the forward's live taps (``_live_taps``) over the same frame-major
+    memory, so padding-only taps get a zero weight gradient and no work. A
+    tap's weight gradient is one ``np.matmul`` of its output and input
+    rectangles per frame and group, summed over the frames. Its input
+    gradient is an elementwise multiply-add for depth-wise taps; otherwise,
+    including one input channel feeding many outputs, it is one
+    ``np.matmul`` over each group's output channels. ``grad_x`` is a
+    (B, C_in, F, T) view of frame-major memory, like the forward's output.
+    """
     if tuple(grad_out.shape) != tuple(ctx.out_shape):
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match forward output {ctx.out_shape}")
     spec = ctx.spec
-    xp = _pad(ctx.x, spec)
-    b_sz, _, f_out, t_out = grad_out.shape
-    k_f, k_t = spec.kernel
-    d_f, d_t = spec.dilation
-    c_per_g = spec.in_channels // spec.groups
-    out_per_g = spec.out_channels // spec.groups
-
-    grad_xp = np.zeros_like(xp)
-    grad_w = np.empty(spec.weight_shape, dtype=np.float32)
-
-    if spec.is_depthwise:
-        tmp = np.empty_like(grad_out)
-        for i in range(k_f):
-            for j in range(k_t):
-                patch = xp[:, :, i * d_f:i * d_f + f_out, j * d_t:j * d_t + t_out]
-                grad_w[:, 0, i, j] = np.einsum("bcft,bcft->c", grad_out, patch,
-                                               optimize=True)
-                tap = ctx.weight[:, 0, i, j][None, :, None, None]
-                np.multiply(grad_out, tap, out=tmp)
-                grad_xp[:, :, i * d_f:i * d_f + f_out, j * d_t:j * d_t + t_out] += tmp
-    else:
-        win = _windows(xp, spec)
-        for g in range(spec.groups):
-            osl = slice(g * out_per_g, (g + 1) * out_per_g)
-            csl = slice(g * c_per_g, (g + 1) * c_per_g)
-            go_g = grad_out[:, osl]
-            # (O/g, C/g, k_f, k_t) <- contract (b, f, t)
-            grad_w[osl] = np.tensordot(go_g, win[:, csl], axes=([0, 2, 3], [0, 2, 3]))
-            w_g = ctx.weight[osl]
-            for i in range(k_f):
-                for j in range(k_t):
-                    # (B, F, T, C/g) <- contract output channels
-                    gx = np.tensordot(go_g, w_g[:, :, i, j], axes=([1], [0]))
-                    grad_xp[:, csl, i * d_f:i * d_f + f_out, j * d_t:j * d_t + t_out] += (
-                        np.moveaxis(gx, 3, 1))
-
-    lf, _, lt, _ = spec.pad
-    n_f, n_t = ctx.x.shape[2], ctx.x.shape[3]
-    grad_x = grad_xp[:, :, lf:lf + n_f, lt:lt + n_t]
-    grad_b = grad_out.sum(axis=(0, 2, 3)) if spec.has_bias else None
-    return np.ascontiguousarray(grad_x), grad_w, grad_b
+    b_sz, _, n_f, n_t = ctx.x.shape
+    f_out, t_out = ctx.out_shape[2:]
+    xg = _grouped(ctx.x, spec.groups)
+    gyg = _grouped(grad_out, spec.groups)
+    taps = _taps(ctx.weight, spec)
+    grad_xg = np.zeros_like(xg)
+    grad_taps = np.zeros_like(taps)
+    for i, j, out, inp in _live_taps(spec, n_f, n_t, f_out, t_out):
+        go = gyg[out]
+        grad_taps[i, j] = np.matmul(go, xg[inp].swapaxes(3, 4)).sum(axis=(0, 1))
+        if spec.is_depthwise:
+            grad_xg[inp] += taps[i, j] * go
+        else:
+            grad_xg[inp] += np.matmul(taps[i, j].swapaxes(1, 2), go)
+    grad_w = np.ascontiguousarray(
+        grad_taps.reshape(*spec.kernel, spec.out_channels, -1).transpose(2, 3, 0, 1))
+    grad_b = gyg.sum(axis=(0, 1, 4)).reshape(-1) if spec.has_bias else None
+    grad_x = grad_xg.reshape(b_sz, n_t, spec.in_channels, n_f).transpose(0, 2, 3, 1)
+    return grad_x, grad_w, grad_b

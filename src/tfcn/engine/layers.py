@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conv import ConvSpec, ShapeError, channel_major, conv2d_backward, conv2d_forward
+from .conv import ConvSpec, ShapeError, conv2d_backward, conv2d_forward
 
 
 class Parameter:
@@ -67,10 +67,6 @@ class Conv2d:
     def forward(self, x: np.ndarray, record: bool = False) -> np.ndarray:
         y, ctx = conv2d_forward(x, self.weight.data, self.spec,
                                 bias=None if self.bias is None else self.bias.data)
-        if record:
-            # the backward passes are written for (B, C, F, T)-ordered memory;
-            # frame-major activations would make every one of them strided
-            y = channel_major(y)
         self._ctx = ctx if record else None
         return y
 
@@ -126,13 +122,10 @@ class BatchNorm:
             m = self.momentum
             self.running_mean = ((1.0 - m) * self.running_mean + m * mean).astype(np.float32)
             self.running_var = ((1.0 - m) * self.running_var + m * var).astype(np.float32)
-            if record:
-                self._ctx = (x_hat, inv_std.astype(np.float32), True)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
             x_hat = (x - self.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-            if record:
-                self._ctx = (x_hat, inv_std.astype(np.float32), False)
+        self._ctx = (x_hat, inv_std.astype(np.float32), training) if record else None
         y = self.gamma.data[None, :, None, None] * x_hat + self.beta.data[None, :, None, None]
         return y.astype(np.float32, copy=False)
 
@@ -171,8 +164,7 @@ class PReLU:
         record = training if record is None else record
         neg = np.minimum(x, 0.0)
         y = np.maximum(x, 0.0) + self.alpha.data * neg
-        if record:
-            self._ctx = (x, neg)
+        self._ctx = (x, neg) if record else None
         return y.astype(np.float32, copy=False)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Loss, Adam optimizer, learning-rate/early-stop schedule, segment batching
-and the training loop.
+"""Loss, Adam optimizer, segment batching and the training loop; the
+learning-rate/early-stop schedule is ``tfcn.schedule``.
 
 The loss is the frame-wise RMS of the log-power-spectrum error, averaged over
 frames (and over batch items). Training runs on fixed 2-second segments;
@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,14 +20,11 @@ from .config import StftConfig, TrainConfig
 from .dsp import Normalizer, lps, stft
 from .engine import Parameter
 from .fileio import replace_file
+from .schedule import ScheduleState, TrainingError
 
 log = logging.getLogger(__name__)
 
 RMS_FLOOR = 1e-8
-
-
-class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss); the last saved checkpoint survives."""
 
 
 # -- loss ----------------------------------------------------------------------
@@ -135,59 +132,6 @@ class Adam:
             self.m[p.name] = np.ascontiguousarray(arrays[f"opt.m.{p.name}"], dtype=np.float32)
             self.v[p.name] = np.ascontiguousarray(arrays[f"opt.v.{p.name}"], dtype=np.float32)
         self.step_count = int(step_count)
-
-
-# -- schedule --------------------------------------------------------------------
-
-
-@dataclass
-class ScheduleState:
-    """Plateau-halving plus early stop.
-
-    A new best (strictly lower validation loss) resets both counters. Three
-    consecutive epochs strictly above the best halve the learning rate and
-    reset the halving counter; ties neither improve nor extend an "above"
-    run. Ten epochs without a new best stop training; stop wins when both
-    would fire.
-    """
-
-    current_lr: float
-    halving_patience: int = 3
-    stop_patience: int = 10
-    best_val_loss: float = math.inf
-    epochs_since_best: int = 0
-    consecutive_above: int = 0
-
-    def update(self, val_loss: float) -> str:
-        if not math.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss {val_loss}")
-        if val_loss < self.best_val_loss:
-            self.best_val_loss = val_loss
-            self.epochs_since_best = 0
-            self.consecutive_above = 0
-            return "none"
-        self.epochs_since_best += 1
-        if val_loss > self.best_val_loss:
-            self.consecutive_above += 1
-        else:
-            self.consecutive_above = 0
-        if self.epochs_since_best >= self.stop_patience:
-            return "stop"
-        if self.consecutive_above >= self.halving_patience:
-            self.current_lr /= 2.0
-            self.consecutive_above = 0
-            return "halve"
-        return "none"
-
-    def to_dict(self) -> dict:
-        return {"current_lr": self.current_lr, "halving_patience": self.halving_patience,
-                "stop_patience": self.stop_patience, "best_val_loss": self.best_val_loss,
-                "epochs_since_best": self.epochs_since_best,
-                "consecutive_above": self.consecutive_above}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScheduleState":
-        return cls(**data)
 
 
 # -- segmenting --------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tfcn.audio import AudioError, load_audio, read_wav, sinc_decimate, write_wav
-from tfcn.checkpoint import save_checkpoint
+from tfcn.checkpoint import load_checkpoint, save_checkpoint
 from tfcn.cli import main
 from tfcn.config import CausalityMode, RunConfig, tcn_lps_config, tfcn_config, tfcn_d_config
 from tfcn.dsp import Normalizer, compute_norm_stats, load_normalizer, lps, stft
@@ -222,6 +222,21 @@ class TestTrainCommand:
         bad.write_text(json.dumps(data))
         assert main(["train", "--config", str(bad)]) == 2
         assert "absent.bin" in capsys.readouterr().err
+
+    def test_resume_from_malformed_state_exits_1(self, toy_run, tmp_path, capsys):
+        root, cfg_path = toy_run
+        data = json.loads(cfg_path.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "run")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        loaded = load_checkpoint(root / "run" / "last.ckpt")
+        last = tmp_path / "run" / "last.ckpt"
+        last.parent.mkdir()
+        save_checkpoint(last, loaded.model, normalizer=loaded.normalizer,
+                        training_state={"epoch": 1}, opt_arrays=loaded.opt_arrays)
+        assert main(["train", "--config", str(cfg), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert str(last) in err and "Traceback" not in err
 
     def test_resume_matches_straight_run(self, toy_run, tmp_path):
         root, cfg_path = toy_run

@@ -182,15 +182,26 @@ class TestConvBackward:
             (2, 4, 1, (1, 1), (1, 1, 1, 1), False),
             (2, 4, 2, (1, 2), (2, 2, 2, 2), True),
             (4, 4, 4, (2, 2), (2, 2, 2, 2), False),   # depthwise
+            (2, 4, 1, (2, 2), (2, 2, 4, 0), True),    # causal: asymmetric time pad
+            (4, 4, 4, (1, 4), (1, 1, 8, 0), False),   # tap j=0 reads only padding
+            (1, 4, 1, (1, 1), (1, 1, 2, 0), True),    # one input channel, as input.conv
         ])
     def test_grads_match_float64_oracle(self, rng, cin, cout, groups, dilation, pad, bias):
         spec = ConvSpec(cin, cout, (3, 3), dilation, groups, pad, has_bias=bias)
         x = rand(rng, (2, cin, 5, 6))
         w = rand(rng, spec.weight_shape, -0.5, 0.5)
         b = rand(rng, (cout,)) if bias else None
-        y, ctx = conv2d_forward(x, w, spec, bias=b)
+        y, _ = conv2d_forward(x, w, spec, bias=b)
         co = rand(rng, y.shape)
-        gx, gw, gb = conv2d_backward(co, ctx)
+
+        def frame_major(a):
+            return a.transpose(0, 3, 1, 2).copy().transpose(0, 2, 3, 1)
+
+        # the same arrays in channel-major and in frame-major memory
+        results = []
+        for layout in (np.ascontiguousarray, frame_major):
+            _, ctx = conv2d_forward(layout(x), w, spec, bias=b)
+            results.append(conv2d_backward(layout(co), ctx))
 
         x64 = x.astype(np.float64)
         w64 = w.astype(np.float64)
@@ -203,10 +214,11 @@ class TestConvBackward:
 
         ngx = numeric_gradient(loss, x64, step=1e-3)
         ngw = numeric_gradient(loss, w64, step=1e-3)
-        assert np.abs(gx - ngx).max() < 1e-3
-        assert np.abs(gw - ngw).max() < 1e-3
-        if bias:
-            np.testing.assert_allclose(gb, co.sum(axis=(0, 2, 3)), rtol=1e-5)
+        for gx, gw, gb in results:
+            assert np.abs(gx - ngx).max() < 1e-3
+            assert np.abs(gw - ngw).max() < 1e-3
+            if bias:
+                np.testing.assert_allclose(gb, co.sum(axis=(0, 2, 3)), rtol=1e-5)
 
     def test_mismatched_context_rejected(self, rng):
         spec = ConvSpec(2, 2, (1, 1))

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tfcn.fileio
 from oracles import conv1d_reference, model_forward_f64, model_params_f64
@@ -22,6 +24,7 @@ from tfcn.config import (
 from tfcn.dsp import Normalizer
 from tfcn.model import build_model, param_count, probe_causality
 from tfcn.padding import max_look_ahead, plan_padding, receptive_field
+from tfcn.schedule import ScheduleState
 
 
 class TestConfig:
@@ -165,6 +168,14 @@ class TestForwardContract:
         assert model.backward(np.ones_like(x)).shape == x.shape
         with pytest.raises(RuntimeError, match="backward without a recorded forward"):
             model.backward(np.ones_like(x))
+        # an inference forward drops the training forward's contexts, so the
+        # failed backward leaves no gradient behind
+        model.zero_grad()
+        model.forward(x, training=True)
+        model.forward(x)
+        with pytest.raises(RuntimeError, match="backward without a recorded forward"):
+            model.backward(np.ones_like(x))
+        assert all(p.grad is None for p in model.parameters())
 
     def test_forward_matches_float64_replica(self, rng):
         # cross-checks the dense wiring against an independent re-derivation
@@ -338,6 +349,20 @@ class TestOneDimensionalEquivalence:
         assert model.forward(x).shape == (2, 1, 12, 5)
 
 
+def _resumable_state():
+    return {"epoch": 2, "adam_step": 6, "schedule": ScheduleState(current_lr=1e-3).to_dict()}
+
+
+def _with_state(**changes):
+    """Header edit: a resumable training state with ``changes`` applied; a
+    change to None removes that key."""
+    def edit(header):
+        state = {**_resumable_state(), **changes}
+        header["training_state"] = {k: v for k, v in state.items() if v is not None}
+        return header
+    return edit
+
+
 def _edit_entry(name, key, value):
     """Header edit: set ``key`` of manifest entry ``name`` to ``value``."""
     def edit(header):
@@ -423,8 +448,12 @@ class TestCheckpoint:
         (None, _edit_entry("rb0.db0.bn0.running_var", "name", "rb0.db0.bn9.running_var")),
         (None, _edit_entry("rb0.db0.act1.alpha", "name", "rb0.db0.act0.alpha")),
         (None, _edit_entry("output.act.alpha", "offset", -8)),
+        (None, _with_state(schedule=None)),
+        (None, _with_state(schedule={**ScheduleState(current_lr=1e-3).to_dict(), "warmup": 1})),
+        (None, _with_state(epoch=1.5)),
     ], ids=["magic_only", "truncated_header", "header_list", "no_config",
-            "unknown_buffer", "duplicate_name", "negative_offset"])
+            "unknown_buffer", "duplicate_name", "negative_offset",
+            "state_without_schedule", "unknown_schedule_key", "non_int_epoch"])
     def test_malformed_file_raises_checkpoint_error(self, tmp_path, raw_edit, header_edit):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, self._small_model())
@@ -436,6 +465,62 @@ class TestCheckpoint:
         path.write_bytes(raw_edit(raw) if raw_edit is not None else raw)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.fixture
+    def resumable_raw(self, tmp_path):
+        path = tmp_path / "base.ckpt"
+        save_checkpoint(path, self._small_model(), training_state=_resumable_state())
+        return path.read_bytes()
+
+    # the fixtures are built once and shared by every example, as intended
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_file_raises_only_checkpoint_error(self, tmp_path, resumable_raw, data):
+        raw = resumable_raw
+        head_len = int(np.frombuffer(raw[8:12], dtype="<u4")[0])
+        header = json.loads(raw[12:12 + head_len])
+        manifest = header["manifest"]
+        kind = data.draw(st.sampled_from(["truncate", "header_length", "offset", "state"]))
+        if kind == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "header_length":
+            n = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != head_len))
+            raw = raw[:8] + np.uint32(n).tobytes() + raw[12:]
+        else:
+            if kind == "offset":
+                entry = manifest[data.draw(st.integers(0, len(manifest) - 1))]
+                entry["offset"] = data.draw(st.one_of(
+                    st.integers(-2**40, 2**40),                           # out of range
+                    st.sampled_from([e["offset"] for e in manifest]),     # overlapping
+                ).filter(lambda off: off != entry["offset"]))
+            else:
+                scalar = st.one_of(st.none(), st.booleans(), st.integers(-3, 2**40),
+                                   st.floats(allow_nan=False), st.text(max_size=4))
+                names = sorted(ScheduleState(current_lr=1.0).to_dict()) + ["epoch", "x"]
+                header["training_state"] = data.draw(st.one_of(
+                    st.recursive(scalar, lambda inner: st.lists(inner, max_size=3)
+                                 | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                                 max_leaves=8),
+                    st.fixed_dictionaries(
+                        {"epoch": scalar, "adam_step": scalar,
+                         "schedule": st.dictionaries(st.sampled_from(names), scalar)})))
+            head = json.dumps(header).encode()
+            raw = raw[:8] + np.uint32(len(head)).tobytes() + head + raw[12 + head_len:]
+        path = tmp_path / "fuzzed.ckpt"
+        path.write_bytes(raw)
+        if kind != "state":
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            return
+        try:
+            state = load_checkpoint(path).training_state
+        except CheckpointError:
+            return
+        # a state that loads is none, or one train() can resume from
+        if state is not None:
+            ScheduleState.from_dict(state["schedule"])
+            assert state["epoch"] >= 0 and state["adam_step"] >= 0
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
         class DiskFull(io.FileIO):
