@@ -8,6 +8,7 @@ and reuses the noisy phase.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ LPS_FLOOR = 1e-10       # inside the log; keeps digital silence finite
 STD_FLOOR = 1e-5
 NORM_MAGIC = b"LPSNORM1"
 NORM_VERSION = 1
+NORM_HEADER_BYTES = 16  # magic, then version and bin count as little-endian uint32
 
 
 def frame_count(n_samples: int, cfg: StftConfig | None = None) -> int:
@@ -105,6 +107,8 @@ class Normalizer:
     def __post_init__(self):
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise ValueError("mean/std must be 1-D vectors of equal length")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise ValueError("mean/std must be finite")
         if not (self.std >= STD_FLOOR).all():
             raise ValueError(f"std must be floored at {STD_FLOOR}")
 
@@ -162,14 +166,26 @@ def save_normalizer(path, norm: Normalizer) -> None:
 
 
 def load_normalizer(path) -> Normalizer:
+    """Read a file written by ``save_normalizer``. The header is checked
+    against the file size before any data is read, so every malformed file
+    raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != NORM_MAGIC:
-            raise ValueError(f"{path}: not a normalizer file (bad magic {magic!r})")
-        version, bins = np.frombuffer(fh.read(8), dtype="<u4")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(NORM_HEADER_BYTES)
+        if head[:8] != NORM_MAGIC:
+            raise ValueError(f"{path}: not a normalizer file (bad magic {head[:8]!r})")
+        if len(head) < NORM_HEADER_BYTES:
+            raise ValueError(f"{path}: truncated normalizer header")
+        version, bins = (int(v) for v in np.frombuffer(head[8:], dtype="<u4"))
         if version != NORM_VERSION:
             raise ValueError(f"{path}: unsupported normalizer version {version}")
-        data = np.frombuffer(fh.read(8 * int(bins)), dtype="<f4")
+        if bins < 1:
+            raise ValueError(f"{path}: normalizer declares no bins")
+        if size != NORM_HEADER_BYTES + 8 * bins:
+            raise ValueError(f"{path}: header declares {bins} bins "
+                             f"({NORM_HEADER_BYTES + 8 * bins} bytes) but the file has "
+                             f"{size} bytes")
+        data = np.frombuffer(fh.read(8 * bins), dtype="<f4")
         if data.size != 2 * bins:
             raise ValueError(f"{path}: truncated normalizer data")
     return Normalizer(mean=data[:bins].copy(), std=data[bins:].copy())

@@ -1,9 +1,22 @@
 """Layer primitives beyond convolution: parameters, batch norm, PReLU,
 channel concat and residual add.
 
-Each stateful layer keeps the context of its latest forward call and consumes
-it in backward; the network composes these calls in reverse order. Gradients
-accumulate on Parameter.grad.
+Each stateful layer keeps the context of its latest recording forward and
+consumes it in backward; the network composes these calls in reverse order.
+Gradients accumulate on Parameter.grad. What a recording forward keeps, one
+activation-sized array at most:
+
+- ``Conv2d``: its input x (see ``conv2d_backward``).
+- ``PReLU``: its input x; the backward recomputes min(x, 0) and the slope.
+- ``BatchNorm``: in training, its input centred by the batch mean, a new
+  array the backward overwrites as its one temporary; in inference, its
+  input x.
+
+BatchNorm and PReLU work on the (B, T, C, F) view of their (B, C, F, T)
+arrays, contiguous on the frame-major memory the convolution returns, and
+return their output, and their input gradient, in their input's memory
+order, so the next convolution reads it without a copy. Channel-major inputs,
+such as the model input, run through the same kernels.
 """
 
 from __future__ import annotations
@@ -81,6 +94,25 @@ class Conv2d:
         return grad_x
 
 
+def _frames(a: np.ndarray) -> np.ndarray:
+    """(B, T, C, F) view of a (B, C, F, T) array. On frame-major memory it is
+    contiguous, and a per-channel (C, 1) vector broadcasts along each frame's
+    contiguous freq run."""
+    return a.transpose(0, 3, 1, 2)
+
+
+def _channel_sums(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Per-channel float64 sums over (batch, time, freq) of the (B, T, C, F)
+    view ``a``, or of ``a * b``: float32 along each freq run, float64 across
+    the runs."""
+    runs = np.einsum("...f->...", a) if b is None else np.einsum("...f,...f->...", a, b)
+    return runs.sum(axis=(0, 1), dtype=np.float64)
+
+
+def _per_channel(v: np.ndarray) -> np.ndarray:
+    return v.astype(np.float32)[:, None]
+
+
 class BatchNorm:
     """Per-channel batch normalization over (batch, freq, time).
 
@@ -112,40 +144,67 @@ class BatchNorm:
                 f"got {x.shape}")
 
     def forward(self, x: np.ndarray, training: bool, record: bool | None = None) -> np.ndarray:
+        """x * scale + shift per channel, in two passes. Training first takes
+        the batch mean in one sum pass, centres x into a new array and sums
+        its squares for the variance, then maps the centred array. A
+        recording forward saves the centred array in training and x in
+        inference."""
         self._check(x)
         record = training if record is None else record
+        xt = _frames(x)
         if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
-            inv_std = 1.0 / np.sqrt(var + self.epsilon)
-            x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+            n = x.shape[0] * x.shape[2] * x.shape[3]
+            mean = _channel_sums(xt) / n
+            saved = np.empty_like(x, dtype=np.float32)
+            src = _frames(saved)
+            np.subtract(xt, _per_channel(mean), out=src)
+            var = _channel_sums(src, src) / n
             m = self.momentum
             self.running_mean = ((1.0 - m) * self.running_mean + m * mean).astype(np.float32)
             self.running_var = ((1.0 - m) * self.running_var + m * var).astype(np.float32)
+            offset = 0.0
         else:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
-            x_hat = (x - self.running_mean[None, :, None, None]) * inv_std[None, :, None, None]
-        self._ctx = (x_hat, inv_std.astype(np.float32), training) if record else None
-        y = self.gamma.data[None, :, None, None] * x_hat + self.beta.data[None, :, None, None]
-        return y.astype(np.float32, copy=False)
+            saved, src = x, xt
+            offset = self.running_mean.astype(np.float64)
+            var = self.running_var.astype(np.float64)
+        inv_std = 1.0 / np.sqrt(var + self.epsilon)
+        scale = self.gamma.data * inv_std
+        y = np.empty_like(x, dtype=np.float32)
+        yt = _frames(y)
+        np.multiply(src, _per_channel(scale), out=yt)
+        yt += _per_channel(self.beta.data - offset * scale)
+        self._ctx = (saved, offset, inv_std, training) if record else None
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Ioffe & Szegedy's backward, with x_hat = (saved - offset) * inv_std;
+        in training the saved centred array is overwritten as the one
+        temporary."""
         if self._ctx is None:
             raise RuntimeError(f"{self.name}: backward without a recorded forward")
-        x_hat, inv_std, was_training = self._ctx
+        saved, offset, inv_std, was_training = self._ctx
         self._ctx = None
-        if grad_out.shape != x_hat.shape:
-            raise ShapeError(f"grad_out shape {grad_out.shape} != forward {x_hat.shape}")
-        self.gamma.accumulate((grad_out * x_hat).sum(axis=(0, 2, 3)))
-        self.beta.accumulate(grad_out.sum(axis=(0, 2, 3)))
-        scale = (self.gamma.data * inv_std)[None, :, None, None]
+        if grad_out.shape != saved.shape:
+            raise ShapeError(f"grad_out shape {grad_out.shape} != forward {saved.shape}")
+        gt = _frames(grad_out)
+        st = _frames(saved)
+        g_sum = _channel_sums(gt)
+        gx_sum = (_channel_sums(gt, st) - offset * g_sum) * inv_std   # sum of grad_out * x_hat
+        self.gamma.accumulate(gx_sum.astype(np.float32))
+        self.beta.accumulate(g_sum.astype(np.float32))
+        scale = _per_channel(self.gamma.data * inv_std)
+        grad_x = np.empty_like(saved, dtype=np.float32)
+        gxt = _frames(grad_x)
         if not was_training:
-            return (grad_out * scale).astype(np.float32, copy=False)
-        n = grad_out.shape[0] * grad_out.shape[2] * grad_out.shape[3]
-        g_mean = grad_out.mean(axis=(0, 2, 3))[None, :, None, None]
-        gx_mean = (grad_out * x_hat).sum(axis=(0, 2, 3))[None, :, None, None] / n
-        grad_x = scale * (grad_out - g_mean - x_hat * gx_mean)
-        return grad_x.astype(np.float32, copy=False)
+            np.multiply(gt, scale, out=gxt)
+            return grad_x
+        # scale * (grad_out - mean(grad_out) - x_hat * mean(grad_out * x_hat))
+        n = saved.shape[0] * saved.shape[2] * saved.shape[3]
+        st *= _per_channel(inv_std * gx_sum / n)
+        st += _per_channel(g_sum / n)
+        np.subtract(gt, st, out=gxt)
+        gxt *= scale
+        return grad_x
 
 
 class PReLU:
@@ -161,22 +220,35 @@ class PReLU:
 
     def forward(self, x: np.ndarray, training: bool = False,
                 record: bool | None = None) -> np.ndarray:
+        """The formula as written, exact for any alpha; a recording forward
+        saves x."""
         record = training if record is None else record
-        neg = np.minimum(x, 0.0)
-        y = np.maximum(x, 0.0) + self.alpha.data * neg
-        self._ctx = (x, neg) if record else None
-        return y.astype(np.float32, copy=False)
+        y = np.maximum(x, 0.0, dtype=np.float32)
+        neg = np.minimum(x, 0.0, dtype=np.float32)
+        neg *= self.alpha.data
+        y += neg
+        self._ctx = x if record else None
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        """Recomputes min(x, 0) for the alpha gradient, then the slope from
+        the x >= 0 mask in the same buffer: mask * (1 - alpha) + alpha, which
+        is alpha where x < 0 and, where x >= 0, 1 to within one ulp while
+        |alpha| < 2**24 (0.99999994 at alpha = -0.3)."""
         if self._ctx is None:
             raise RuntimeError(f"{self.name}: backward without a recorded forward")
-        x, neg = self._ctx
+        x = self._ctx
         self._ctx = None
         if grad_out.shape != x.shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} != forward {x.shape}")
-        self.alpha.accumulate(np.array([(grad_out * neg).sum()], dtype=np.float32))
-        slope = np.where(x >= 0.0, np.float32(1.0), self.alpha.data)
-        return (grad_out * slope).astype(np.float32, copy=False)
+        a = self.alpha.data[0]
+        buf = np.minimum(x, 0.0, dtype=np.float32)
+        self.alpha.accumulate(np.array([_channel_sums(_frames(buf), _frames(grad_out)).sum()]))
+        np.greater_equal(x, 0.0, out=buf)
+        buf *= 1 - a
+        buf += a
+        buf *= grad_out
+        return buf
 
 
 def concat_channels(inputs) -> np.ndarray:

@@ -128,9 +128,21 @@ class Adam:
         return out
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
+        """Replace every moment, or raise TrainingError naming the first one
+        missing or of the wrong shape and change none."""
+        loaded = {}
+        for moments in ("m", "v"):
+            for p in self.params:
+                key = f"opt.{moments}.{p.name}"
+                if key not in arrays:
+                    raise TrainingError(f"optimizer state lacks {key}")
+                if np.shape(arrays[key]) != p.data.shape:
+                    raise TrainingError(f"optimizer state {key} has shape "
+                                        f"{np.shape(arrays[key])}, parameter {p.data.shape}")
+                loaded[key] = np.ascontiguousarray(arrays[key], dtype=np.float32)
         for p in self.params:
-            self.m[p.name] = np.ascontiguousarray(arrays[f"opt.m.{p.name}"], dtype=np.float32)
-            self.v[p.name] = np.ascontiguousarray(arrays[f"opt.v.{p.name}"], dtype=np.float32)
+            self.m[p.name] = loaded[f"opt.m.{p.name}"]
+            self.v[p.name] = loaded[f"opt.v.{p.name}"]
         self.step_count = int(step_count)
 
 
@@ -212,6 +224,7 @@ class TrainResult:
     best_path: Path | None
     last_path: Path | None
     stopped_early: bool
+    rejected_updates: dict[int, int]    # epoch -> Adam steps rejected for non-finite gradients
 
 
 HISTORY_FIELDS = ("epoch", "train_loss", "val_loss", "lr", "event")
@@ -310,11 +323,13 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
             history = [r for r in read_history_csv(history_path) if r.epoch < start_epoch]
 
     step_losses: list[float] = []
+    rejected_updates: dict[int, int] = {}
     stopped_early = False
     for epoch in range(start_epoch, cfg.max_epochs + 1):
         order = epoch_order(len(prepared), cfg.seed, epoch)
         epoch_loss_sum = 0.0
         epoch_items = 0
+        rejected = 0
         for start in range(0, len(order), cfg.batch_size):
             chosen = order[start:start + cfg.batch_size]
             noisy_norm = np.stack([prepared[i][0] for i in chosen])
@@ -330,7 +345,8 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
             grad_est = frame_rms_loss_grad(clean, est, mask)
             grad_norm = grad_est * norm.std
             model.backward(_to_model_input(grad_norm))
-            adam.step(schedule.current_lr)
+            if not adam.step(schedule.current_lr):
+                rejected += 1
             model.zero_grad()
             step_losses.append(loss)
             epoch_loss_sum += loss * len(chosen)
@@ -342,8 +358,9 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
         lr_at_epoch = schedule.current_lr
         event = schedule.update(val_loss)
         history.append(EpochRow(epoch, train_loss, val_loss, lr_at_epoch, event))
-        log.info("epoch %d: train %.6f val %.6f lr %.2e %s",
-                 epoch, train_loss, val_loss, lr_at_epoch, event)
+        rejected_updates[epoch] = rejected
+        log.info("epoch %d: train %.6f val %.6f lr %.2e rejected %d %s",
+                 epoch, train_loss, val_loss, lr_at_epoch, rejected, event)
 
         if out_dir is not None:
             if val_loss < prev_best:
@@ -361,4 +378,4 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
     return TrainResult(history=history, step_losses=step_losses,
                        best_val_loss=schedule.best_val_loss,
                        best_path=best_path, last_path=last_path,
-                       stopped_early=stopped_early)
+                       stopped_early=stopped_early, rejected_updates=rejected_updates)

@@ -223,6 +223,18 @@ class TestTrainCommand:
         assert main(["train", "--config", str(bad)]) == 2
         assert "absent.bin" in capsys.readouterr().err
 
+    def test_malformed_stats_exits_1(self, toy_run, tmp_path, capsys):
+        _, cfg_path = toy_run
+        data = json.loads(cfg_path.read_text())
+        stats = tmp_path / "stats.bin"
+        stats.write_bytes(b"LPSNORM1" + np.array([1, 2**26], "<u4").tobytes() + bytes(16))
+        data["paths"]["stats"] = str(stats)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert str(stats) in err and "Traceback" not in err
+
     def test_resume_from_malformed_state_exits_1(self, toy_run, tmp_path, capsys):
         root, cfg_path = toy_run
         data = json.loads(cfg_path.read_text())
@@ -237,6 +249,29 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg), "--resume"]) == 1
         err = capsys.readouterr().err
         assert str(last) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("moments", ["none", "misshapen"])
+    def test_resume_without_optimizer_moments_exits_1(self, toy_run, tmp_path, capsys,
+                                                       moments):
+        root, cfg_path = toy_run
+        data = json.loads(cfg_path.read_text())
+        data["paths"]["out_dir"] = str(tmp_path / "run")
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        loaded = load_checkpoint(root / "run" / "last.ckpt")
+        opt_arrays = None
+        if moments == "misshapen":
+            opt_arrays = dict(loaded.opt_arrays)
+            first = sorted(k for k in opt_arrays if k.startswith("opt.v."))[0]
+            opt_arrays[first] = np.zeros(opt_arrays[first].size + 1, np.float32)
+        last = tmp_path / "run" / "last.ckpt"
+        last.parent.mkdir()
+        save_checkpoint(last, loaded.model, normalizer=loaded.normalizer,
+                        training_state=loaded.training_state, opt_arrays=opt_arrays)
+        assert main(["train", "--config", str(cfg), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert ("lacks opt.m." if moments == "none" else "has shape") in err
+        assert "Traceback" not in err
 
     def test_resume_matches_straight_run(self, toy_run, tmp_path):
         root, cfg_path = toy_run

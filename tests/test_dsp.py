@@ -1,12 +1,17 @@
 """Spectral front end: analysis/synthesis round trips, LPS semantics,
 normalization statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from oracles import bin_stats_reference
 from tfcn.config import StftConfig
 from tfcn.dsp import (
+    NORM_MAGIC,
     Normalizer,
     compute_norm_stats,
     frame_count,
@@ -218,3 +223,62 @@ class TestNormalizer:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_normalizer(path)
+
+    @pytest.mark.parametrize("bins,tail", [
+        (2**26, 16),                # a 32-byte file declaring 512 MiB of data
+        (2**32 - 1, 16),            # the largest count the header can declare
+        (0, 0),                     # an empty normalizer
+        (4, 32 + 1),                # one trailing byte
+    ])
+    def test_header_checked_against_file_size(self, tmp_path, bins, tail):
+        path = tmp_path / "stats.bin"
+        path.write_bytes(NORM_MAGIC + np.array([1, bins], "<u4").tobytes() + b"\x01" * tail)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bins"):
+                load_normalizer(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_non_finite_statistics_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Normalizer(mean=np.array([0.0, np.nan], np.float32), std=np.ones(2, np.float32))
+        with pytest.raises(ValueError, match="finite"):
+            Normalizer(mean=np.zeros(2, np.float32), std=np.array([1, np.inf], np.float32))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_file_raises_only_value_error(self, tmp_path, data):
+        path = tmp_path / "stats.bin"
+        save_normalizer(path, Normalizer(mean=np.linspace(-8, -2, 8).astype(np.float32),
+                                         std=np.linspace(1, 3, 8).astype(np.float32)))
+        raw = path.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "extend", "version", "bins", "values"]))
+        if kind == "truncate":
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "extend":
+            raw += data.draw(st.binary(min_size=1, max_size=64))
+        elif kind == "version":
+            n = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != 1))
+            raw = raw[:8] + np.uint32(n).tobytes() + raw[12:]
+        elif kind == "bins":
+            n = data.draw(st.integers(0, 2**32 - 1).filter(lambda n: n != 8))
+            raw = raw[:12] + np.uint32(n).tobytes() + raw[16:]
+        else:
+            at = data.draw(st.integers(16, len(raw) - 4))
+            raw = raw[:at] + data.draw(st.binary(min_size=4, max_size=4)) + raw[at + 4:]
+        path.write_bytes(raw)
+        if kind != "values":
+            with pytest.raises(ValueError):
+                load_normalizer(path)
+            return
+        try:
+            norm = load_normalizer(path)
+        except ValueError:
+            return
+        # values that load are ones the normalizer accepts
+        assert norm.bins == 8
+        assert np.isfinite(norm.mean).all() and (norm.std >= 1e-5).all()

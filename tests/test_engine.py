@@ -1,5 +1,6 @@
 """Tensor-engine primitives against independent oracles and finite differences."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,15 @@ from tfcn.engine import (
 
 def rand(rng, shape, lo=-1.0, hi=1.0):
     return rng.uniform(lo, hi, shape).astype(np.float32)
+
+
+def frame_major(a):
+    """The same (B, C, F, T) values over frame-major (B, T, C, F) memory."""
+    return a.transpose(0, 3, 1, 2).copy().transpose(0, 2, 3, 1)
+
+
+# every layer test runs on channel-major and on frame-major memory
+LAYOUTS = (np.ascontiguousarray, frame_major)
 
 
 class TestConvForward:
@@ -194,12 +204,9 @@ class TestConvBackward:
         y, _ = conv2d_forward(x, w, spec, bias=b)
         co = rand(rng, y.shape)
 
-        def frame_major(a):
-            return a.transpose(0, 3, 1, 2).copy().transpose(0, 2, 3, 1)
-
         # the same arrays in channel-major and in frame-major memory
         results = []
-        for layout in (np.ascontiguousarray, frame_major):
+        for layout in LAYOUTS:
             _, ctx = conv2d_forward(layout(x), w, spec, bias=b)
             results.append(conv2d_backward(layout(co), ctx))
 
@@ -228,41 +235,59 @@ class TestConvBackward:
             conv2d_backward(np.zeros((1, 2, 3, 4), np.float32), ctx)
 
 
+def kept_activations(layer, x, **kwargs):
+    """Run a recording forward; return the activation-sized arrays its
+    context holds and the bytes it keeps allocated besides its output."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = layer.forward(x, record=True, **kwargs)
+        kept = tracemalloc.get_traced_memory()[0] - before - y.nbytes
+    finally:
+        tracemalloc.stop()
+    ctx = layer._ctx if isinstance(layer._ctx, tuple) else (layer._ctx,)
+    return [a for a in ctx if isinstance(a, np.ndarray) and a.shape == x.shape], kept
+
+
 class TestBatchNorm:
     def test_inference_identity(self, rng):
         bn = BatchNorm(3)
         x = rand(rng, (2, 3, 4, 4))
-        y = bn.forward(x, training=False)
-        np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
+        for layout in LAYOUTS:
+            y = bn.forward(layout(x), training=False)
+            np.testing.assert_allclose(y, x, rtol=1e-4, atol=1e-5)
 
     def test_train_constant_input_gives_beta(self, rng):
         bn = BatchNorm(2)
         bn.beta.data[:] = [0.5, -1.5]
         x = np.full((2, 2, 3, 3), 7.0, dtype=np.float32)
-        y = bn.forward(x, training=True)
-        np.testing.assert_allclose(y[:, 0], 0.5, atol=1e-5)
-        np.testing.assert_allclose(y[:, 1], -1.5, atol=1e-5)
-        assert np.isfinite(y).all()
+        for layout in LAYOUTS:
+            y = bn.forward(layout(x), training=True)
+            np.testing.assert_allclose(y[:, 0], 0.5, atol=1e-5)
+            np.testing.assert_allclose(y[:, 1], -1.5, atol=1e-5)
+            assert np.isfinite(y).all()
 
     def test_train_normalizes_to_gamma_beta(self, rng):
         bn = BatchNorm(3)
         bn.gamma.data[:] = [1.0, 2.0, 0.5]
         bn.beta.data[:] = [0.0, -1.0, 3.0]
         x = rand(rng, (4, 3, 8, 8), -3, 3)
-        y = bn.forward(x, training=True)
-        for c in range(3):
-            assert abs(y[:, c].mean() - bn.beta.data[c]) < 1e-4
-            assert abs(y[:, c].std() - bn.gamma.data[c]) < 1e-4
+        for layout in LAYOUTS:
+            y = bn.forward(layout(x), training=True)
+            for c in range(3):
+                assert abs(y[:, c].mean() - bn.beta.data[c]) < 1e-4
+                assert abs(y[:, c].std() - bn.gamma.data[c]) < 1e-4
 
     def test_running_stats_update_and_freeze(self, rng):
-        bn = BatchNorm(2, momentum=0.1)
         x = rand(rng, (2, 2, 4, 4), 1.0, 3.0)
-        bn.forward(x, training=True)
-        expected_mean = 0.1 * x.mean(axis=(0, 2, 3))
-        np.testing.assert_allclose(bn.running_mean, expected_mean, rtol=1e-5)
-        frozen = bn.running_mean.copy()
-        bn.forward(x, training=False)
-        np.testing.assert_array_equal(bn.running_mean, frozen)
+        for layout in LAYOUTS:
+            bn = BatchNorm(2, momentum=0.1)
+            bn.forward(layout(x), training=True)
+            expected_mean = 0.1 * x.mean(axis=(0, 2, 3))
+            np.testing.assert_allclose(bn.running_mean, expected_mean, rtol=1e-5)
+            frozen = bn.running_mean.copy()
+            bn.forward(layout(x), training=False)
+            np.testing.assert_array_equal(bn.running_mean, frozen)
 
     def test_inference_is_affine(self, rng):
         bn = BatchNorm(2)
@@ -271,10 +296,11 @@ class TestBatchNorm:
         bn.gamma.data[:] = [2.0, 0.5]
         bn.beta.data[:] = [1.0, -1.0]
         x1, x2 = rand(rng, (1, 2, 3, 3)), rand(rng, (1, 2, 3, 3))
-        y1 = bn.forward(x1, training=False)
-        y2 = bn.forward(x2, training=False)
-        mid = bn.forward((0.5 * (x1 + x2)).astype(np.float32), training=False)
-        np.testing.assert_allclose(mid, 0.5 * (y1 + y2), rtol=1e-5, atol=1e-6)
+        for layout in LAYOUTS:
+            y1 = bn.forward(layout(x1), training=False)
+            y2 = bn.forward(layout(x2), training=False)
+            mid = bn.forward(layout((0.5 * (x1 + x2)).astype(np.float32)), training=False)
+            np.testing.assert_allclose(mid, 0.5 * (y1 + y2), rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("training", [True, False])
     def test_backward_matches_float64_oracle(self, rng, training):
@@ -286,9 +312,13 @@ class TestBatchNorm:
         x = rand(rng, (2, 3, 3, 4), -2, 2)
         co = rand(rng, x.shape)
         rm, rv = bn.running_mean.copy(), bn.running_var.copy()
-        bn.forward(x, training=training, record=True)
-        bn.running_mean, bn.running_var = rm, rv
-        gx = bn.backward(co)
+        results = []
+        for layout in LAYOUTS:
+            bn.gamma.zero_grad()
+            bn.beta.zero_grad()
+            bn.forward(layout(x), training=training, record=True)
+            bn.running_mean, bn.running_var = rm.copy(), rv.copy()
+            results.append((bn.backward(layout(co)), bn.gamma.grad, bn.beta.grad))
 
         x64 = x.astype(np.float64)
         g64 = bn.gamma.data.astype(np.float64)
@@ -301,15 +331,38 @@ class TestBatchNorm:
                 out = bn_inference_f64(x64, g64, b64, rm, rv)
             return (out * co).sum()
 
-        assert np.abs(gx - numeric_gradient(loss, x64, step=1e-3)).max() < 1e-3
-        assert np.abs(bn.gamma.grad - numeric_gradient(loss, g64, step=1e-3)).max() < 1e-3
-        assert np.abs(bn.beta.grad - numeric_gradient(loss, b64, step=1e-3)).max() < 1e-3
+        ngx = numeric_gradient(loss, x64, step=1e-3)
+        ngg = numeric_gradient(loss, g64, step=1e-3)
+        ngb = numeric_gradient(loss, b64, step=1e-3)
+        for gx, gg, gb in results:
+            assert np.abs(gx - ngx).max() < 1e-3
+            assert np.abs(gg - ngg).max() < 1e-3
+            assert np.abs(gb - ngb).max() < 1e-3
 
     def test_zero_variance_guarded(self):
         bn = BatchNorm(1)
         x = np.ones((1, 1, 2, 2), dtype=np.float32)
-        y = bn.forward(x, training=True)
-        assert np.isfinite(y).all()
+        for layout in LAYOUTS:
+            y = bn.forward(layout(x), training=True)
+            assert np.isfinite(y).all()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_recording_forward_keeps_one_activation(self, rng, training):
+        x = rand(rng, (2, 8, 16, 12))
+        for layout in LAYOUTS:
+            bn = BatchNorm(8)
+            arrays, kept = kept_activations(bn, layout(x), training=training)
+            assert len(arrays) == 1
+            assert kept <= x.nbytes + 1024
+
+    def test_output_keeps_input_memory_order(self, rng):
+        bn = BatchNorm(4)
+        x = rand(rng, (1, 4, 6, 5))
+        for layout in LAYOUTS:
+            for training in (True, False):
+                y = bn.forward(layout(x), training=training, record=True)
+                assert y.strides == layout(x).strides
+                assert bn.backward(layout(x)).strides == layout(x).strides
 
 
 class TestPReLU:
@@ -317,41 +370,88 @@ class TestPReLU:
         act = PReLU()
         act.alpha.data[:] = 1.0
         x = rand(rng, (1, 2, 3, 3), -2, 2)
-        np.testing.assert_array_equal(act.forward(x), x)
+        for layout in LAYOUTS:
+            np.testing.assert_array_equal(act.forward(layout(x)), x)
 
     def test_alpha_zero_is_relu(self):
         act = PReLU()
         act.alpha.data[:] = 0.0
         x = np.array([-1.0, 2.0], dtype=np.float32).reshape(1, 1, 1, 2)
-        np.testing.assert_array_equal(act.forward(x)[0, 0, 0], [0.0, 2.0])
+        for layout in LAYOUTS:
+            np.testing.assert_array_equal(act.forward(layout(x))[0, 0, 0], [0.0, 2.0])
 
     def test_alpha_gradient_on_negative_inputs(self, rng):
         act = PReLU()
         x = rand(rng, (1, 2, 3, 4), -2.0, -0.5)       # strictly negative: no kink nearby
         co = rand(rng, x.shape)
-        act.forward(x, record=True)
-        act.backward(co)
         a64 = act.alpha.data.astype(np.float64)
 
         def loss():
             return (prelu_f64(x.astype(np.float64), a64) * co).sum()
 
         num = numeric_gradient(loss, a64, step=1e-3)
-        assert abs(act.alpha.grad[0] - num[0]) / max(abs(num[0]), 1e-8) < 1e-3
+        for layout in LAYOUTS:
+            act.alpha.zero_grad()
+            act.forward(layout(x), record=True)
+            act.backward(layout(co))
+            assert abs(act.alpha.grad[0] - num[0]) / max(abs(num[0]), 1e-8) < 1e-3
 
     def test_input_gradient_kinks_avoided(self, rng):
         act = PReLU()
         x = rand(rng, (2, 2, 3, 3), -2, 2)
         x = np.where(np.abs(x) < 1e-2, np.float32(5e-2), x).astype(np.float32)
         co = rand(rng, x.shape)
-        act.forward(x, record=True)
-        gx = act.backward(co)
         x64 = x.astype(np.float64)
 
         def loss():
             return (prelu_f64(x64, act.alpha.data.astype(np.float64)) * co).sum()
 
-        assert np.abs(gx - numeric_gradient(loss, x64, step=1e-3)).max() < 1e-3
+        ngx = numeric_gradient(loss, x64, step=1e-3)
+        for layout in LAYOUTS:
+            act.forward(layout(x), record=True)
+            gx = act.backward(layout(co))
+            assert np.abs(gx - ngx).max() < 1e-3
+
+    @pytest.mark.parametrize("alpha", [-0.3, 1.7])
+    def test_any_alpha_matches_float64_oracle(self, rng, alpha):
+        # slopes outside [0, 1], where max(x, alpha * x) is not PReLU
+        act = PReLU(init=alpha)
+        x = rand(rng, (2, 3, 4, 5), -2, 2)
+        x = np.where(np.abs(x) < 1e-2, np.float32(5e-2), x).astype(np.float32)
+        co = rand(rng, x.shape)
+        x64 = x.astype(np.float64)
+        a64 = act.alpha.data.astype(np.float64)
+
+        def loss():
+            return (prelu_f64(x64, a64) * co).sum()
+
+        ngx = numeric_gradient(loss, x64, step=1e-3)
+        nga = numeric_gradient(loss, a64, step=1e-3)
+        exact = np.where(x >= 0, x, act.alpha.data[0] * x)
+        for layout in LAYOUTS:
+            act.alpha.zero_grad()
+            y = act.forward(layout(x), record=True)
+            np.testing.assert_array_equal(y, exact)
+            np.testing.assert_allclose(y, prelu_f64(x64, a64), rtol=1e-6)
+            gx = act.backward(layout(co))
+            assert np.abs(gx - ngx).max() < 1e-3
+            assert abs(act.alpha.grad[0] - nga[0]) / max(abs(nga[0]), 1e-8) < 1e-3
+
+    def test_recording_forward_keeps_one_activation(self, rng):
+        x = rand(rng, (2, 8, 16, 12))
+        for layout in LAYOUTS:
+            act = PReLU()
+            arrays, kept = kept_activations(act, layout(x))
+            assert len(arrays) == 1
+            assert kept <= 1024
+
+    def test_output_keeps_input_memory_order(self, rng):
+        act = PReLU()
+        x = rand(rng, (1, 4, 6, 5), -1, 1)
+        for layout in LAYOUTS:
+            y = act.forward(layout(x), record=True)
+            assert y.strides == layout(x).strides
+            assert act.backward(layout(x)).strides == layout(x).strides
 
 
 class TestConcatAndResidual:

@@ -22,6 +22,7 @@ from tfcn.config import (
     tfcn_d_config,
 )
 from tfcn.dsp import Normalizer
+from tfcn.engine import BatchNorm, PReLU
 from tfcn.model import build_model, param_count, probe_causality
 from tfcn.padding import max_look_ahead, plan_padding, receptive_field
 from tfcn.schedule import ScheduleState
@@ -157,6 +158,18 @@ class TestForwardContract:
         x[0, 0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             model.forward(x)
+
+    def test_training_forward_keeps_one_array_per_prelu_and_bn(self, rng):
+        cfg = tfcn_config(repeated_blocks=1, dilated_blocks_per_repeat=2, freq_bins=16)
+        model = build_model(cfg, seed=0)
+        model.forward(rng.uniform(-1, 1, (2, 1, 16, 6)).astype(np.float32), training=True)
+        layers = [layer for layer in model._layer_objects()
+                  if isinstance(layer, (BatchNorm, PReLU))]
+        assert len(layers) == 1 + 4 * 2 + 1
+        for layer in layers:
+            ctx = layer._ctx if isinstance(layer._ctx, tuple) else (layer._ctx,)
+            arrays = [a for a in ctx if isinstance(a, np.ndarray) and a.ndim == 4]
+            assert len(arrays) == 1, layer.name
 
     def test_backward_needs_one_training_forward(self, rng):
         cfg = tfcn_d_config(repeated_blocks=2, dilated_blocks_per_repeat=2, freq_bins=16)

@@ -21,6 +21,7 @@ from tfcn.model import build_model
 from tfcn.training import (
     Adam,
     ScheduleState,
+    TrainingError,
     epoch_order,
     frame_rms_loss,
     frame_rms_loss_grad,
@@ -147,6 +148,26 @@ class TestAdam:
         opt2.load_state_arrays(arrays, opt.step_count)
         assert opt2.step_count == 1
         np.testing.assert_array_equal(opt2.m["p0"], opt.m["p0"])
+
+
+    @pytest.mark.parametrize("fault", ["missing", "misshapen"])
+    def test_load_rejects_bad_moment_and_changes_none(self, rng, fault):
+        params = self._params(rng, 2)
+        for p in params:
+            p.grad = rng.uniform(-1, 1, p.data.shape).astype(np.float32)
+        opt = Adam(params)
+        opt.step(1e-3)
+        arrays = {k: v + 1.0 for k, v in opt.state_arrays().items()}
+        if fault == "missing":
+            del arrays["opt.v.p1"]
+        else:
+            arrays["opt.v.p1"] = np.zeros(3, np.float32)
+        before = {k: v.copy() for k, v in opt.state_arrays().items()}
+        with pytest.raises(TrainingError, match="opt.v.p1"):
+            opt.load_state_arrays(arrays, 5)
+        assert opt.step_count == 1
+        for k, v in opt.state_arrays().items():
+            np.testing.assert_array_equal(v, before[k])
 
 
 class TestSchedule:
@@ -290,6 +311,30 @@ class TestTrainLoop:
         for epoch in (3, 4):
             assert abs(s[epoch].train_loss - r[epoch].train_loss) < 1e-5
             assert abs(s[epoch].val_loss - r[epoch].val_loss) < 1e-5
+
+
+    def test_rejected_updates_counted_per_epoch(self, rng, tmp_path, caplog):
+        pairs, val, norm, cfg, train_cfg = _tiny_train_setup(rng)
+        model = build_model(cfg, seed=1)
+        backward = model.backward
+        steps = []
+
+        def backward_nan_on_first_step(grad):
+            out = backward(grad)
+            steps.append(len(steps))
+            if len(steps) == 1:
+                model.output_act.alpha.grad[:] = np.nan
+            return out
+
+        model.backward = backward_nan_on_first_step
+        with caplog.at_level("INFO", logger="tfcn.training"):
+            result = train(model, pairs, val, norm, train_cfg, out_dir=tmp_path)
+        assert len(steps) == 4
+        assert result.rejected_updates == {1: 1, 2: 0}
+        assert "epoch 1: " in caplog.text and "rejected 1 " in caplog.text
+        assert "rejected 0 " in caplog.text
+        header = (tmp_path / "history.csv").read_text().splitlines()[0]
+        assert header == "epoch,train_loss,val_loss,lr,event"
 
 
 class TestEndToEndGradient:
