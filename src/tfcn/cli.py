@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import AudioError, load_audio, write_wav
+from .audio import TARGET_RATE, AudioError, load_audio, write_wav
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import (
     CausalityMode,
@@ -181,7 +181,8 @@ def cmd_enhance(args) -> int:
     write_wav(args.outfile, result.samples)
     mode = "streaming" if args.streaming else "batch"
     extra = " (peak-normalized)" if result.peak_normalized else ""
-    print(f"enhanced {result.frames} frames [{mode}] -> {args.outfile}{extra}")
+    rtf = result.compute_s / (samples.size / TARGET_RATE)
+    print(f"enhanced {result.frames} frames [{mode}] -> {args.outfile}{extra} rtf {rtf:.3f}")
     return 0
 
 

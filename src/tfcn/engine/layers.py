@@ -16,14 +16,16 @@ BatchNorm and PReLU work on the (B, T, C, F) view of their (B, C, F, T)
 arrays, contiguous on the frame-major memory the convolution returns, and
 return their output, and their input gradient, in their input's memory
 order, so the next convolution reads it without a copy. Channel-major inputs,
-such as the model input, run through the same kernels.
+such as the model input, run through the same kernels. Their elementwise
+passes split the frames across cores (``split_frames``); their channel sums
+run in one thread.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .conv import ConvSpec, ShapeError, conv2d_backward, conv2d_forward
+from .conv import ConvSpec, ShapeError, conv2d_backward, conv2d_forward, split_frames
 
 
 class Parameter:
@@ -113,6 +115,49 @@ def _per_channel(v: np.ndarray) -> np.ndarray:
     return v.astype(np.float32)[:, None]
 
 
+# Frame kernels for split_frames: BatchNorm's compute the frames [lo, hi) of
+# (B, T, C, F) views, PReLU's those of (B, C, F, T) arrays.
+
+def _centre_frames(lo, hi, out, x, mean):
+    np.subtract(x[:, lo:hi], mean, out=out[:, lo:hi])
+
+
+def _affine_frames(lo, hi, out, x, scale, shift):
+    o = out[:, lo:hi]
+    np.multiply(x[:, lo:hi], scale, out=o)
+    if shift is not None:
+        o += shift
+
+
+def _bn_train_grad_frames(lo, hi, out, grad, centred, x_hat_scale, grad_mean, scale):
+    # scale * (grad - (grad_mean + centred * x_hat_scale)), in centred's memory
+    c, o = centred[:, lo:hi], out[:, lo:hi]
+    c *= x_hat_scale
+    c += grad_mean
+    np.subtract(grad[:, lo:hi], c, out=o)
+    o *= scale
+
+
+def _prelu_frames(lo, hi, out, x, alpha):
+    xs, o = x[..., lo:hi], out[..., lo:hi]
+    np.maximum(xs, 0.0, out=o, dtype=np.float32)
+    neg = np.minimum(xs, 0.0, dtype=np.float32)
+    neg *= alpha
+    o += neg
+
+
+def _negative_frames(lo, hi, out, x):
+    np.minimum(x[..., lo:hi], 0.0, out=out[..., lo:hi], dtype=np.float32)
+
+
+def _prelu_grad_frames(lo, hi, out, x, grad, a):
+    o = out[..., lo:hi]
+    np.greater_equal(x[..., lo:hi], 0.0, out=o)
+    o *= 1 - a
+    o += a
+    o *= grad[..., lo:hi]
+
+
 class BatchNorm:
     """Per-channel batch normalization over (batch, freq, time).
 
@@ -157,7 +202,7 @@ class BatchNorm:
             mean = _channel_sums(xt) / n
             saved = np.empty_like(x, dtype=np.float32)
             src = _frames(saved)
-            np.subtract(xt, _per_channel(mean), out=src)
+            split_frames(_centre_frames, x.shape[3], x.size, src, xt, _per_channel(mean))
             var = _channel_sums(src, src) / n
             m = self.momentum
             self.running_mean = ((1.0 - m) * self.running_mean + m * mean).astype(np.float32)
@@ -170,9 +215,8 @@ class BatchNorm:
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
         scale = self.gamma.data * inv_std
         y = np.empty_like(x, dtype=np.float32)
-        yt = _frames(y)
-        np.multiply(src, _per_channel(scale), out=yt)
-        yt += _per_channel(self.beta.data - offset * scale)
+        split_frames(_affine_frames, x.shape[3], x.size, _frames(y), src, _per_channel(scale),
+                     _per_channel(self.beta.data - offset * scale))
         self._ctx = (saved, offset, inv_std, training) if record else None
         return y
 
@@ -196,14 +240,12 @@ class BatchNorm:
         grad_x = np.empty_like(saved, dtype=np.float32)
         gxt = _frames(grad_x)
         if not was_training:
-            np.multiply(gt, scale, out=gxt)
+            split_frames(_affine_frames, gxt.shape[1], gxt.size, gxt, gt, scale, None)
             return grad_x
         # scale * (grad_out - mean(grad_out) - x_hat * mean(grad_out * x_hat))
         n = saved.shape[0] * saved.shape[2] * saved.shape[3]
-        st *= _per_channel(inv_std * gx_sum / n)
-        st += _per_channel(g_sum / n)
-        np.subtract(gt, st, out=gxt)
-        gxt *= scale
+        split_frames(_bn_train_grad_frames, gxt.shape[1], gxt.size, gxt, gt, st,
+                     _per_channel(inv_std * gx_sum / n), _per_channel(g_sum / n), scale)
         return grad_x
 
 
@@ -223,10 +265,8 @@ class PReLU:
         """The formula as written, exact for any alpha; a recording forward
         saves x."""
         record = training if record is None else record
-        y = np.maximum(x, 0.0, dtype=np.float32)
-        neg = np.minimum(x, 0.0, dtype=np.float32)
-        neg *= self.alpha.data
-        y += neg
+        y = np.empty_like(x, dtype=np.float32)
+        split_frames(_prelu_frames, x.shape[3], x.size, y, x, self.alpha.data)
         self._ctx = x if record else None
         return y
 
@@ -241,13 +281,10 @@ class PReLU:
         self._ctx = None
         if grad_out.shape != x.shape:
             raise ShapeError(f"grad_out shape {grad_out.shape} != forward {x.shape}")
-        a = self.alpha.data[0]
-        buf = np.minimum(x, 0.0, dtype=np.float32)
+        buf = np.empty_like(x, dtype=np.float32)
+        split_frames(_negative_frames, x.shape[3], x.size, buf, x)
         self.alpha.accumulate(np.array([_channel_sums(_frames(buf), _frames(grad_out)).sum()]))
-        np.greater_equal(x, 0.0, out=buf)
-        buf *= 1 - a
-        buf += a
-        buf *= grad_out
+        split_frames(_prelu_grad_frames, x.shape[3], x.size, buf, x, grad_out, self.alpha.data[0])
         return buf
 
 

@@ -11,6 +11,7 @@ bitwise-identical results either way.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ class EnhanceResult:
     frames: int
     peak_normalized: bool
     first_output_after: int | None = None   # streaming only
+    compute_s: float = 0.0                  # wall time of enhance_waveform
 
 
 def enhance_lps(model: Model, norm: Normalizer, noisy_lps: np.ndarray) -> np.ndarray:
@@ -55,6 +57,7 @@ def enhance_lps_streaming(model: Model, norm: Normalizer,
 def enhance_waveform(model: Model, norm: Normalizer, samples: np.ndarray,
                      stft_cfg: StftConfig | None = None,
                      streaming: bool = False) -> EnhanceResult:
+    start = time.perf_counter()
     stft_cfg = stft_cfg or StftConfig()
     spec = stft(samples, stft_cfg)
     noisy_lps = lps(spec)
@@ -70,7 +73,8 @@ def enhance_waveform(model: Model, norm: Normalizer, samples: np.ndarray,
         log.warning("output peak %.3f would clip; applying peak normalization", peak)
         out = out * (0.999 / peak)
     return EnhanceResult(samples=out, frames=noisy_lps.shape[0],
-                         peak_normalized=clipped, first_output_after=first_after)
+                         peak_normalized=clipped, first_output_after=first_after,
+                         compute_s=time.perf_counter() - start)
 
 
 def segmental_snr(reference: np.ndarray, test: np.ndarray, frame: int = 512,

@@ -20,7 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .engine import Conv2d, ShapeError, add_residual, concat_channels
+from .engine import Conv2d, ConvSpec, ShapeError, add_residual, concat_channels
 from .engine.conv import conv2d_forward
 from .model import Model
 
@@ -38,12 +38,16 @@ class _ConvStream:
         self.span = layer.spec.span()[1]
         self.right = layer.spec.pad[3]
         self.buf: deque[np.ndarray] = deque(maxlen=self.span)
+        self.specs: dict[tuple[int, int], ConvSpec] = {}   # window time pads -> spec
 
     def _column(self, after: int) -> np.ndarray:
         """Output column whose window ends ``after`` columns past the last input."""
         cols = list(self.buf)[max(0, len(self.buf) - (self.span - after)):]
-        lf, rf, _, _ = self.layer.spec.pad
-        spec = replace(self.layer.spec, pad=(lf, rf, self.span - after - len(cols), after))
+        pads = (self.span - after - len(cols), after)
+        spec = self.specs.get(pads)
+        if spec is None:
+            spec = self.specs[pads] = replace(self.layer.spec,
+                                              pad=(*self.layer.spec.pad[:2], *pads))
         # stacked frame-major, the memory order conv2d_forward computes in
         window = np.concatenate([c.transpose(0, 3, 1, 2) for c in cols], axis=1)
         out, _ = conv2d_forward(window.transpose(0, 2, 3, 1), self.layer.weight.data, spec,
@@ -85,14 +89,21 @@ class StreamingModel:
     push_frame() accepts one (freq_bins,) column and returns the output
     columns that became computable; flush() drains the look-ahead and ends
     the stream: its outputs assumed nothing follows, so a later push_frame()
-    or flush() raises RuntimeError. A model with look-ahead L emits its first
-    output on input frame L (so after L + 1 frames).
+    or flush() raises RuntimeError until reset() starts a new one. A model
+    with look-ahead L emits its first output on input frame L (so after
+    L + 1 frames).
     """
 
     def __init__(self, model: Model):
         if model.config.causality.kind == "non_causal":
             raise ValueError("streaming needs a causal or semi-causal model")
         self.model = model
+        self.reset()
+
+    def reset(self) -> None:
+        """Return to the just-built state, flushed or not: empty conv
+        buffers and queues, zero counters and no collected output."""
+        model = self.model
         self.input_stages = _stages([model.input_bn, model.input_conv])
         self.block_stages = [_stages(model.block(node).layers())
                              for node in model.plan.blocks]

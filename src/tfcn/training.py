@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import statistics
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,9 +227,22 @@ class TrainResult:
     last_path: Path | None
     stopped_early: bool
     rejected_updates: dict[int, int]    # epoch -> Adam steps rejected for non-finite gradients
+    step_seconds: list[float]           # per step: wall time from batch assembly to zero_grad
+    grad_norms: list[float]             # per step: global L2 norm of the gradient before Adam
 
 
 HISTORY_FIELDS = ("epoch", "train_loss", "val_loss", "lr", "event")
+
+
+def global_grad_norm(params: list[Parameter]) -> float:
+    """L2 norm over every parameter gradient together, summed in float64; a
+    parameter without a gradient counts as zero."""
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            g = p.grad.astype(np.float64)
+            total += float(np.vdot(g, g))
+    return math.sqrt(total)
 
 
 def write_history_csv(path, rows: list[EpochRow]) -> None:
@@ -323,6 +338,8 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
             history = [r for r in read_history_csv(history_path) if r.epoch < start_epoch]
 
     step_losses: list[float] = []
+    step_seconds: list[float] = []
+    grad_norms: list[float] = []
     rejected_updates: dict[int, int] = {}
     stopped_early = False
     for epoch in range(start_epoch, cfg.max_epochs + 1):
@@ -330,7 +347,9 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
         epoch_loss_sum = 0.0
         epoch_items = 0
         rejected = 0
+        epoch_steps = len(step_seconds)
         for start in range(0, len(order), cfg.batch_size):
+            step_start = time.perf_counter()
             chosen = order[start:start + cfg.batch_size]
             noisy_norm = np.stack([prepared[i][0] for i in chosen])
             clean = np.stack([prepared[i][1] for i in chosen])
@@ -345,9 +364,11 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
             grad_est = frame_rms_loss_grad(clean, est, mask)
             grad_norm = grad_est * norm.std
             model.backward(_to_model_input(grad_norm))
+            grad_norms.append(global_grad_norm(adam.params))
             if not adam.step(schedule.current_lr):
                 rejected += 1
             model.zero_grad()
+            step_seconds.append(time.perf_counter() - step_start)
             step_losses.append(loss)
             epoch_loss_sum += loss * len(chosen)
             epoch_items += len(chosen)
@@ -359,8 +380,10 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
         event = schedule.update(val_loss)
         history.append(EpochRow(epoch, train_loss, val_loss, lr_at_epoch, event))
         rejected_updates[epoch] = rejected
-        log.info("epoch %d: train %.6f val %.6f lr %.2e rejected %d %s",
-                 epoch, train_loss, val_loss, lr_at_epoch, rejected, event)
+        log.info("epoch %d: train %.6f val %.6f lr %.2e rejected %d step %.3fs "
+                 "grad-norm max %.4g %s", epoch, train_loss, val_loss, lr_at_epoch, rejected,
+                 statistics.median(step_seconds[epoch_steps:]),
+                 float(np.max(grad_norms[epoch_steps:])), event)
 
         if out_dir is not None:
             if val_loss < prev_best:
@@ -378,4 +401,5 @@ def train(model, train_pairs, val_pairs, norm: Normalizer, cfg: TrainConfig,
     return TrainResult(history=history, step_losses=step_losses,
                        best_val_loss=schedule.best_val_loss,
                        best_path=best_path, last_path=last_path,
-                       stopped_early=stopped_early, rejected_updates=rejected_updates)
+                       stopped_early=stopped_early, rejected_updates=rejected_updates,
+                       step_seconds=step_seconds, grad_norms=grad_norms)

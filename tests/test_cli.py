@@ -1,5 +1,6 @@
 """Command surface, file formats, the enhancement pipeline and streaming."""
 
+import itertools
 import json
 
 import numpy as np
@@ -326,6 +327,25 @@ class TestEnhance:
         snr = 10 * np.log10(np.sum(a ** 2) / np.sum((a - b) ** 2))
         assert snr > 55.0
 
+    def test_cli_enhance_reports_rtf(self, tmp_path, capsys):
+        model = build_model(small_causal_cfg(), seed=8)
+        ckpt = tmp_path / "c.ckpt"
+        save_checkpoint(ckpt, model, normalizer=unit_normalizer())
+        write_wav(tmp_path / "in.wav", tone(8000, 440.0))
+        for flag in ([], ["--streaming"]):
+            assert main(["enhance", "--checkpoint", str(ckpt), "--in", str(tmp_path / "in.wav"),
+                         "--out", str(tmp_path / "out.wav"), *flag]) == 0
+            line = capsys.readouterr().out.strip().splitlines()[-1]
+            assert line.startswith("enhanced 30 frames")
+            words = line.split()
+            assert words[-2] == "rtf"
+            assert 0.0 < float(words[-1]) < 1e3
+
+    def test_compute_time_reported(self):
+        model = build_model(small_causal_cfg(), seed=8)
+        result = enhance_waveform(model, unit_normalizer(), tone(8000, 440.0))
+        assert 0.0 < result.compute_s < 60.0
+
     def test_silence_in_near_silence_out(self, tmp_path):
         model = make_identity_model()
         result = enhance_waveform(model, unit_normalizer(), np.zeros(16000))
@@ -382,6 +402,35 @@ class TestEnhance:
         streamed, first_after = enhance_lps_streaming(model, norm, noisy)
         np.testing.assert_array_equal(streamed, enhance_lps(model, norm, noisy))
         assert first_after == model.look_ahead_frames + 1
+
+    def test_reset_replays_a_fresh_stream(self):
+        cfg = tfcn_config(CausalityMode.semi_causal(3), repeated_blocks=1,
+                          dilated_blocks_per_repeat=3, freq_bins=16)
+        model = build_model(cfg, seed=2)
+        rng = np.random.default_rng(6)
+        first, second = rng.uniform(-1, 1, (2, 9, 16)).astype(np.float32)
+
+        def run(stream):
+            pushed = [stream.push_frame(frame) for frame in second]
+            return pushed, stream.flush(), stream.collected, stream.first_output_after
+
+        fresh = run(StreamingModel(model))
+        for flush_first in (False, True):
+            stream = StreamingModel(model)
+            for frame in first[:5]:
+                stream.push_frame(frame)
+            if flush_first:
+                stream.flush()
+            stream.reset()
+            assert (stream.frames_in, stream.frames_out) == (0, 0)
+            assert stream.first_output_after is None and stream.collected.shape == (0, 16)
+            again = run(stream)
+            assert [len(p) for p in again[0]] == [len(p) for p in fresh[0]]
+            for got, want in zip([*itertools.chain(*again[0]), *again[1], again[2]],
+                                 [*itertools.chain(*fresh[0]), *fresh[1], fresh[2]]):
+                assert got.tobytes() == want.tobytes()
+            assert again[3] == fresh[3] == 4
+            assert stream.frames_out == 9
 
     def test_push_or_flush_after_flush_raises(self):
         cfg = small_causal_cfg(freq_bins=16)

@@ -1,11 +1,14 @@
 """Tensor-engine primitives against independent oracles and finite differences."""
 
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tfcn.engine.conv as conv
 from oracles import (
     bn_inference_f64,
     bn_train_f64,
@@ -26,6 +29,9 @@ from tfcn.engine import (
     grad_check,
     split_channels,
 )
+from tfcn.config import CausalityMode, tcn_lps_config, tfcn_config
+from tfcn.model import build_model
+from tfcn.streaming import StreamingModel
 
 
 def rand(rng, shape, lo=-1.0, hi=1.0):
@@ -593,3 +599,171 @@ class TestGradCheckOp:
             return float("nan"), {}
         with pytest.raises(ValueError, match="non-finite"):
             grad_check(f, {}, step=1e-3)
+
+
+class CountingPool:
+    """Stands in for the frame pool: counts the calls ``split_frames``
+    puts on its ``jobs`` and hands them to a real pool."""
+
+    def __init__(self, workers):
+        self.pool = conv._start_pool(workers)
+        self.jobs = self
+        self.dispatched = 0
+
+    def put(self, job):
+        self.dispatched += 1
+        self.pool.jobs.put(job)
+
+
+@pytest.fixture(params=[2, 3], ids=["workers2", "workers3"])
+def split(request, monkeypatch):
+    """Split every frame kernel across 2 or 3 workers, down to one-frame
+    chunks, on any machine, with threads switching as often as they can;
+    yields the pool."""
+    pool = CountingPool(request.param)
+    monkeypatch.setattr(conv, "WORKERS", request.param)
+    monkeypatch.setattr(conv, "_POOL", pool)
+    monkeypatch.setattr(conv, "MIN_CHUNK", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield pool
+    finally:
+        sys.setswitchinterval(interval)
+        pool.pool.close()
+
+
+def one_worker(fn):
+    """fn() with the frame split off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conv, "WORKERS", 1)
+        return fn()
+
+
+def assert_bitwise(got, want):
+    """Equal bit for bit, signed zeros and NaN payloads included."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+FRAMES = [1, 2, 3, 5, 7, 62]
+SPLIT_SPECS = {
+    "full_causal": (ConvSpec(4, 6, (3, 3), (1, 2), pad=(1, 1, 4, 0)), 5),
+    "groups2_semi": (ConvSpec(4, 6, (3, 3), (2, 1), 2, pad=(2, 2, 1, 1)), 5),
+    "depthwise_causal": (ConvSpec(6, 6, (3, 3), (1, 4), 6, pad=(1, 1, 8, 0)), 5),
+    "depthwise_semi": (ConvSpec(6, 6, (3, 3), (2, 2), 6, pad=(2, 2, 2, 2)), 5),
+    "pointwise": (ConvSpec(6, 4, (1, 1)), 5),
+    "input_bias": (ConvSpec(1, 4, (5, 7), pad=(2, 2, 6, 0), has_bias=True), 7),
+    "lps_depthwise": (ConvSpec(24, 24, (1, 3), (1, 2), 24, pad=(0, 0, 4, 0)), 1),
+    "lps_pointwise": (ConvSpec(24, 12, (1, 1)), 1),
+}
+
+
+class TestFrameSplit:
+    """Every frame kernel split across workers is bitwise equal to one worker."""
+
+    @pytest.mark.parametrize("frames", FRAMES)
+    @pytest.mark.parametrize("name", SPLIT_SPECS)
+    def test_conv_forward_and_backward(self, rng, split, name, frames):
+        spec, n_f = SPLIT_SPECS[name]
+        x = frame_major(rand(rng, (2, spec.in_channels, n_f, frames)))
+        w = rand(rng, spec.weight_shape)
+        b = rand(rng, (spec.out_channels,)) if spec.has_bias else None
+        go = frame_major(rand(rng, (2, spec.out_channels, *spec.out_size(n_f, frames))))
+
+        def run():
+            y, ctx = conv2d_forward(x, w, spec, bias=b)
+            return (y, *conv2d_backward(go, ctx))
+
+        want = one_worker(run)
+        assert_bitwise(run(), want)
+        assert (split.dispatched > 0) == (frames > 1)
+
+    @pytest.mark.parametrize("frames", FRAMES)
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batch_norm(self, rng, split, training, frames):
+        x = rand(rng, (2, 5, 9, frames))
+        go = rand(rng, x.shape)
+        gamma, beta = rand(rng, (5,), 0.5, 1.5), rand(rng, (5,))
+        stats = rand(rng, (5,), -0.3, 0.3), rand(rng, (5,), 0.5, 1.5)
+        for layout in LAYOUTS:
+            def run():
+                bn = BatchNorm(5)
+                bn.gamma.data[:], bn.beta.data[:] = gamma, beta
+                bn.running_mean[:], bn.running_var[:] = stats
+                y = bn.forward(layout(x), training=training, record=True)
+                gx = bn.backward(layout(go))
+                return y, gx, bn.gamma.grad, bn.beta.grad, bn.running_mean, bn.running_var
+
+            assert_bitwise(run(), one_worker(run))
+        assert (split.dispatched > 0) == (frames > 1)
+
+    @pytest.mark.parametrize("frames", FRAMES)
+    def test_prelu(self, rng, split, frames):
+        x = rand(rng, (2, 5, 9, frames))
+        x[..., 0] = 0.0                     # the kink, whose slope is 1
+        go = rand(rng, x.shape)
+        for layout in LAYOUTS:
+            def run():
+                act = PReLU(init=-0.3)
+                y = act.forward(layout(x), record=True)
+                return y, act.backward(layout(go)), act.alpha.grad
+
+            assert_bitwise(run(), one_worker(run))
+        assert (split.dispatched > 0) == (frames > 1)
+
+    @pytest.mark.parametrize("make", [tfcn_config, tcn_lps_config])
+    def test_model_training_step(self, rng, split, make):
+        cfg = make(CausalityMode.semi_causal(2), repeated_blocks=1,
+                   dilated_blocks_per_repeat=3, freq_bins=16, block_channels=8,
+                   bottleneck_channels=12)
+        x = rand(rng, (2, 1, 16, 11))
+        go = rand(rng, x.shape)
+
+        def run():
+            model = build_model(cfg, seed=4)
+            y = model.forward(x, training=True)
+            gx = model.backward(go)
+            y_inf = model.forward(x, training=False)
+            return (y, gx, y_inf, *(p.grad for p in model.parameters()),
+                    *(buf for _, buf in model.named_buffers()))
+
+        assert_bitwise(run(), one_worker(run))
+        assert split.dispatched > 0
+
+    def test_one_frame_calls_run_inline(self, rng, split):
+        spec = ConvSpec(6, 6, (3, 3), (1, 4), 6, pad=(1, 1, 8, 0))
+        x = frame_major(rand(rng, (1, 6, 5, 1)))
+        _, ctx = conv2d_forward(x, rand(rng, spec.weight_shape), spec)
+        conv2d_backward(x, ctx)
+        for training in (True, False):
+            bn = BatchNorm(6)
+            bn.backward(bn.forward(x, training=training, record=True))
+        act = PReLU()
+        act.backward(act.forward(x, record=True))
+        cfg = tfcn_config(CausalityMode.semi_causal(2), repeated_blocks=1,
+                          dilated_blocks_per_repeat=3, freq_bins=16)
+        stream = StreamingModel(build_model(cfg, seed=0))
+        for frame in rand(rng, (6, 16)):
+            stream.push_frame(frame)
+        stream.flush()
+        assert stream.frames_out == 6
+        assert split.dispatched == 0
+
+    def test_worker_error_reaches_caller_after_every_chunk(self, split):
+        def kernel(lo, hi, ran):
+            time.sleep(0.01 * lo)
+            ran.append((lo, hi))
+            if lo > 0:
+                raise ValueError(f"chunk {lo}:{hi}")
+
+        ran = []
+        with pytest.raises(ValueError, match="chunk"):
+            conv.split_frames(kernel, 6, 6, ran)
+        edges = [0, 2, 4, 6] if conv.WORKERS == 3 else [0, 3, 6]
+        assert sorted(ran) == list(zip(edges, edges[1:]))

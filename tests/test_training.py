@@ -336,6 +336,34 @@ class TestTrainLoop:
         header = (tmp_path / "history.csv").read_text().splitlines()[0]
         assert header == "epoch,train_loss,val_loss,lr,event"
 
+    def test_step_times_and_gradient_norms_per_step(self, rng, caplog, monkeypatch):
+        pairs, val, norm, cfg, train_cfg = _tiny_train_setup(rng)
+        model = build_model(cfg, seed=1)
+        norms = []
+        step = Adam.step
+
+        def step_recording_norm(adam, lr):
+            norms.append(np.sqrt(sum((p.grad.astype(np.float64) ** 2).sum()
+                                     for p in adam.params)))
+            return step(adam, lr)
+
+        monkeypatch.setattr(Adam, "step", step_recording_norm)
+        with caplog.at_level("INFO", logger="tfcn.training"):
+            result = train(model, pairs, val, norm, train_cfg)
+        assert len(result.step_losses) == 4
+        assert len(result.step_seconds) == len(result.grad_norms) == 4
+        assert all(np.isfinite(t) and t > 0 for t in result.step_seconds)
+        np.testing.assert_allclose(result.grad_norms, norms, rtol=1e-12)
+        assert all(np.isfinite(g) and g > 0 for g in result.grad_norms)
+        for epoch, steps in ((1, slice(0, 2)), (2, slice(2, 4))):
+            line = next(r.getMessage() for r in caplog.records
+                        if r.getMessage().startswith(f"epoch {epoch}: "))
+            words = line.split()
+            assert float(words[words.index("step") + 1].rstrip("s")) == pytest.approx(
+                np.median(result.step_seconds[steps]), abs=1e-3)
+            assert float(words[words.index("grad-norm") + 2]) == pytest.approx(
+                max(result.grad_norms[steps]), rel=1e-3)
+
 
 class TestEndToEndGradient:
     def test_loss_through_model_matches_float64_fd(self, rng):
